@@ -4,7 +4,7 @@ Every command is a deterministic function of (inputs, flags, seed); emitted
 files carry no timestamps or environment state, so identical invocations
 produce byte-identical outputs. Wall-clock timing goes to stdout only.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 artifact error.
+Exit codes: 0 success, 2 invalid flag, 3 data error, 4 artifact error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .morris import MorrisConfig, analyze
 from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, init_mlp, predict_label,
                      predict_proba, train)
 from .persist import (ArtifactError, EvalResult, ModelArtifact, SplitInfo,
-                      load_model, save_model)
+                      eval_to_dict, load_model, save_model)
 
 HIDDEN_LAYOUT = [128, 64, 32]
 TRAIN_RATIO = 0.8
@@ -53,26 +54,18 @@ def _metric_cell(value: float | None) -> str:
 
 
 def _print_metrics_table(results: dict[str, EvalResult]) -> None:
-    names = list(results)
-    print(f"{'metric':<14}" + "".join(f"{n:>12}" for n in names))
-    for metric in ("accuracy", "sensitivity", "specificity", "ppv", "npv"):
-        row = "".join(f"{_metric_cell(getattr(results[n].metrics, metric)):>12}"
-                      for n in names)
+    columns = {n: r.metrics.as_dict() for n, r in results.items()}
+    print(f"{'metric':<14}" + "".join(f"{n:>12}" for n in columns))
+    for metric in next(iter(columns.values())):
+        row = "".join(f"{_metric_cell(col[metric]):>12}" for col in columns.values())
         print(f"{metric:<14}{row}")
-    for n in names:
-        cm = results[n].confusion
-        print(f"confusion[{n}]  tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}")
+    for n, r in results.items():
+        counts = " ".join(f"{k}={v}" for k, v in asdict(r.confusion).items())
+        print(f"confusion[{n}]  {counts}")
 
 
 def _report_dict(results: dict[str, EvalResult]) -> dict:
-    return {
-        name: {
-            "confusion": {"tp": r.confusion.tp, "fp": r.confusion.fp,
-                          "tn": r.confusion.tn, "fn": r.confusion.fn},
-            "metrics": r.metrics.as_dict(decimals=REPORT_DECIMALS),
-        }
-        for name, r in results.items()
-    }
+    return {name: eval_to_dict(r, REPORT_DECIMALS) for name, r in results.items()}
 
 
 def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
@@ -247,11 +240,10 @@ def cmd_sensitivity(args) -> int:
     })
 
     print(f"{'feature':<22}{'mu':>12}{'mu_star':>12}{'sigma':>12}")
-    by_rank = sorted(range(len(result.feature_names)),
-                     key=lambda j: (-result.mu_star[j], j))
-    for j in by_rank:
-        print(f"{result.feature_names[j]:<22}{result.mu[j]:>12.4f}"
-              f"{result.mu_star[j]:>12.4f}{result.sigma[j]:>12.4f}")
+    for name in result.ranking:
+        j = result.feature_names.index(name)
+        print(f"{name:<22}{result.mu[j]:>12.4f}{result.mu_star[j]:>12.4f}"
+              f"{result.sigma[j]:>12.4f}")
     return 0
 
 

@@ -73,8 +73,8 @@ class FeatureSchema:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if len(self.target_vocab) != 2:
-            raise ValueError("target vocab must have exactly 2 entries")
+        if len(self.target_vocab) != 2 or self.target_vocab[0] == self.target_vocab[1]:
+            raise ValueError("target vocab must have exactly 2 distinct entries")
 
     @property
     def feature_names(self) -> list[str]:
@@ -162,6 +162,8 @@ def load_csv(path: str) -> Dataset:
             table = list(reader)
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if not table:
         raise EmptyDatasetError(f"{path}: empty file")
     header, data = table[0], table[1:]

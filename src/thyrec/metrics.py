@@ -7,7 +7,7 @@ a report must distinguish "no positives predicted" from "perfect precision".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +33,8 @@ class MetricsReport:
     npv: float | None
 
     def as_dict(self, decimals: int | None = None) -> dict:
-        out = {}
-        for name in ("accuracy", "sensitivity", "specificity", "ppv", "npv"):
-            value = getattr(self, name)
-            if value is not None and decimals is not None:
-                value = round(value, decimals)
-            out[name] = value
-        return out
+        return {name: value if value is None or decimals is None else round(value, decimals)
+                for name, value in asdict(self).items()}
 
 
 def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:

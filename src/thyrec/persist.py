@@ -10,11 +10,11 @@ and save -> load -> save is the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Scaler
+from .data import Feature, FeatureSchema, Scaler
 from .metrics import ConfusionMatrix, MetricsReport
 from .neural import MLP, RELU, SIGMOID, Layer, TrainConfig
 
@@ -44,6 +44,10 @@ class SplitInfo:
     stratified: bool
     indices_digest: str
 
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or not 0.0 < self.ratio < 1.0:
+            raise ValueError("split needs an integer seed and a ratio in (0, 1)")
+
 
 @dataclass
 class EvalResult:
@@ -62,30 +66,16 @@ class ModelArtifact:
     format_version: int = FORMAT_VERSION
 
 
-def _schema_to_dict(schema: FeatureSchema) -> dict:
-    return {
-        "features": [
-            {"name": f.name, "kind": f.kind, "vocab": list(f.vocab)}
-            for f in schema.features
-        ],
-        "target_name": schema.target_name,
-        "target_vocab": list(schema.target_vocab),
-    }
-
-
-def _eval_to_dict(result: EvalResult) -> dict:
-    cm = result.confusion
-    return {
-        "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-        "metrics": result.metrics.as_dict(),
-    }
+def eval_to_dict(result: EvalResult, decimals: int | None = None) -> dict:
+    """Confusion counts and metrics; decimals rounds the metrics for reports."""
+    return {"confusion": asdict(result.confusion),
+            "metrics": result.metrics.as_dict(decimals)}
 
 
 def artifact_to_dict(artifact: ModelArtifact) -> dict:
-    cfg = artifact.train_config
     return {
         "format_version": artifact.format_version,
-        "schema": _schema_to_dict(artifact.schema),
+        "schema": asdict(artifact.schema),
         "scaler": {
             "means": artifact.scaler.means.tolist(),
             "stds": artifact.scaler.stds.tolist(),
@@ -101,28 +91,10 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
             for layer in artifact.mlp.layers
         ],
         "dropout_rates": list(artifact.mlp.dropout_rates),
-        "train_config": {
-            "learning_rate": cfg.learning_rate,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "epsilon": cfg.epsilon,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "dropout": cfg.dropout,
-            "validation_fraction": cfg.validation_fraction,
-            "validation_source": cfg.validation_source,
-            "seed": cfg.seed,
-        },
-        "final_metrics": {
-            name: _eval_to_dict(result)
-            for name, result in sorted(artifact.final_metrics.items())
-        },
-        "split": {
-            "seed": artifact.split.seed,
-            "ratio": artifact.split.ratio,
-            "stratified": artifact.split.stratified,
-            "indices_digest": artifact.split.indices_digest,
-        },
+        "train_config": asdict(artifact.train_config),
+        "final_metrics": {name: eval_to_dict(result)
+                          for name, result in artifact.final_metrics.items()},
+        "split": asdict(artifact.split),
     }
 
 
@@ -139,25 +111,85 @@ def _get(mapping: dict, key: str, context: str):
         raise MissingFieldError(f"missing field {context}.{key}") from None
 
 
+def _record(cls, d: dict, context: str):
+    """Build dataclass cls from the mapping d, one entry per field."""
+    return cls(**{f.name: _get(d, f.name, context) for f in fields(cls)})
+
+
+def _array(d: dict, key: str, context: str) -> np.ndarray:
+    values = np.asarray(_get(d, key, context), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise CorruptArtifactError(f"{context}.{key} holds a non-finite value")
+    return values
+
+
 def _schema_from_dict(d: dict) -> FeatureSchema:
-    features = []
-    for fd in _get(d, "features", "schema"):
-        kind = _get(fd, "kind", "feature")
-        if kind not in (NUMERIC, CATEGORICAL):
-            raise CorruptArtifactError(f"unknown feature kind {kind!r}")
-        features.append(Feature(_get(fd, "name", "feature"), kind,
-                                tuple(_get(fd, "vocab", "feature"))))
-    vocab = _get(d, "target_vocab", "schema")
-    if len(vocab) != 2:
-        raise CorruptArtifactError("target_vocab must have 2 entries")
-    return FeatureSchema(tuple(features), _get(d, "target_name", "schema"),
-                         (vocab[0], vocab[1]))
+    features = tuple(Feature(_get(fd, "name", "feature"), _get(fd, "kind", "feature"),
+                             tuple(_get(fd, "vocab", "feature")))
+                     for fd in _get(d, "features", "schema"))
+    return FeatureSchema(features, _get(d, "target_name", "schema"),
+                         tuple(_get(d, "target_vocab", "schema")))
 
 
-def _metrics_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(**{k: _get(d, k, "metrics")
-                            for k in ("accuracy", "sensitivity", "specificity",
-                                      "ppv", "npv")})
+def _artifact_from_dict(raw: dict) -> ModelArtifact:
+    version = _get(raw, "format_version", "artifact")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"format_version {version} not supported (expected {FORMAT_VERSION})")
+
+    schema = _schema_from_dict(_get(raw, "schema", "artifact"))
+    d = len(schema.features)
+
+    scaler_d = _get(raw, "scaler", "artifact")
+    scaler = Scaler(means=_array(scaler_d, "means", "scaler"),
+                    stds=_array(scaler_d, "stds", "scaler"))
+    if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
+        raise CorruptArtifactError(f"scaler means/stds need one entry per feature ({d})")
+    if np.any(scaler.stds <= 0):
+        raise CorruptArtifactError("scaler stds must be > 0")
+
+    layers = []
+    prev_out = None
+    layer_dicts = _get(raw, "layers", "artifact")
+    for i, ld in enumerate(layer_dicts):
+        d_in, d_out = _get(ld, "d_in", "layer"), _get(ld, "d_out", "layer")
+        weights = _array(ld, "weights", f"layer {i}")
+        bias = _array(ld, "bias", f"layer {i}")
+        if weights.shape != (d_in * d_out,) or bias.shape != (d_out,):
+            raise CorruptArtifactError(f"layer {i}: declared shape does not match array length")
+        if prev_out is not None and d_in != prev_out:
+            raise CorruptArtifactError(f"layer {i}: dimensions do not chain")
+        activation = _get(ld, "activation", "layer")
+        expected = SIGMOID if i == len(layer_dicts) - 1 else RELU
+        if activation != expected:
+            raise CorruptArtifactError(f"layer {i}: activation {activation!r}, "
+                                       f"expected {expected!r}")
+        layers.append(Layer(weights.reshape(d_in, d_out), bias, activation))
+        prev_out = d_out
+    if not layers:
+        raise CorruptArtifactError("artifact has no layers")
+    if layers[0].W.shape[0] != d:
+        raise CorruptArtifactError("first layer width does not match the schema")
+
+    dropout_rates = [float(x) for x in _get(raw, "dropout_rates", "artifact")]
+    if len(dropout_rates) != len(layers) - 1:
+        raise CorruptArtifactError(
+            f"{len(dropout_rates)} dropout rates for {len(layers) - 1} hidden layers")
+
+    final = {}
+    for name, ed in _get(raw, "final_metrics", "artifact").items():
+        final[name] = EvalResult(
+            _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion"),
+            _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics"))
+
+    return ModelArtifact(
+        schema=schema, scaler=scaler,
+        mlp=MLP(layers=layers, dropout_rates=dropout_rates),
+        train_config=_record(TrainConfig, _get(raw, "train_config", "artifact"),
+                             "train_config"),
+        final_metrics=final,
+        split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"),
+        format_version=version)
 
 
 def load_model(path: str) -> ModelArtifact:
@@ -166,68 +198,12 @@ def load_model(path: str) -> ModelArtifact:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ArtifactError(f"no such model file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError or UnicodeDecodeError
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
-
-    version = _get(raw, "format_version", "artifact")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"format_version {version} not supported (expected {FORMAT_VERSION})")
-
-    schema = _schema_from_dict(_get(raw, "schema", "artifact"))
-
-    scaler_d = _get(raw, "scaler", "artifact")
-    scaler = Scaler(means=np.asarray(_get(scaler_d, "means", "scaler"), dtype=np.float64),
-                    stds=np.asarray(_get(scaler_d, "stds", "scaler"), dtype=np.float64))
-    if scaler.means.shape != scaler.stds.shape:
-        raise CorruptArtifactError("scaler means/stds length mismatch")
-
-    layers = []
-    prev_out = None
-    for i, ld in enumerate(_get(raw, "layers", "artifact")):
-        d_in, d_out = _get(ld, "d_in", "layer"), _get(ld, "d_out", "layer")
-        weights = _get(ld, "weights", "layer")
-        bias = _get(ld, "bias", "layer")
-        if len(weights) != d_in * d_out or len(bias) != d_out:
-            raise CorruptArtifactError(f"layer {i}: declared shape does not match array length")
-        if prev_out is not None and d_in != prev_out:
-            raise CorruptArtifactError(f"layer {i}: dimensions do not chain")
-        activation = _get(ld, "activation", "layer")
-        if activation not in (RELU, SIGMOID):
-            raise CorruptArtifactError(f"layer {i}: unknown activation {activation!r}")
-        layers.append(Layer(
-            W=np.asarray(weights, dtype=np.float64).reshape(d_in, d_out),
-            b=np.asarray(bias, dtype=np.float64),
-            activation=activation,
-        ))
-        prev_out = d_out
-    if not layers:
-        raise CorruptArtifactError("artifact has no layers")
-    if layers[0].W.shape[0] != len(schema.features):
-        raise CorruptArtifactError("first layer width does not match the schema")
-
-    dropout_rates = [float(x) for x in _get(raw, "dropout_rates", "artifact")]
-    mlp = MLP(layers=layers, dropout_rates=dropout_rates)
-
-    cfg_d = _get(raw, "train_config", "artifact")
-    config = TrainConfig(**{k: _get(cfg_d, k, "train_config") for k in (
-        "learning_rate", "beta1", "beta2", "epsilon", "epochs", "batch_size",
-        "dropout", "validation_fraction", "validation_source", "seed")})
-
-    final = {}
-    for name, ed in _get(raw, "final_metrics", "artifact").items():
-        cm_d = _get(ed, "confusion", "final_metrics")
-        cm = ConfusionMatrix(**{k: _get(cm_d, k, "confusion")
-                                for k in ("tp", "fp", "tn", "fn")})
-        final[name] = EvalResult(confusion=cm,
-                                 metrics=_metrics_from_dict(_get(ed, "metrics",
-                                                                 "final_metrics")))
-
-    split_d = _get(raw, "split", "artifact")
-    split = SplitInfo(seed=_get(split_d, "seed", "split"),
-                      ratio=_get(split_d, "ratio", "split"),
-                      stratified=_get(split_d, "stratified", "split"),
-                      indices_digest=_get(split_d, "indices_digest", "split"))
-
-    return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
-                         final_metrics=final, split=split, format_version=version)
+    # Constructors and numpy reject malformed values, and values of the wrong
+    # JSON type, with these errors; in a file we read, that is a corrupt
+    # artifact, not bad usage.
+    try:
+        return _artifact_from_dict(raw)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from exc

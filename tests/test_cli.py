@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synth import write_csv
+from test_persist import mutate
 from thyrec.cli import main
 from thyrec.persist import load_model, save_model
 
@@ -66,6 +67,20 @@ class TestTrain:
                      "--out", str(tmp_path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [b"Age,Recurred\n\xff1,No\n2,Yes\n",
+                                      b"Age,Recurred\n1," + b"x" * 200_000 + b"\n"],
+                             ids=["not-utf8", "field-over-csv-limit"])
+    def test_unparseable_csv_exits_3(self, tmp_path, capsys, body):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(body)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_zero_epochs_exits_2(self, small_csv, tmp_path):
+        assert main(["train", "--data", small_csv, "--out", str(tmp_path),
+                     "--epochs", "0"]) == 2
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestEvaluate:
     def test_reproduces_stored_test_metrics(self, small_csv, tmp_path):
@@ -105,6 +120,25 @@ class TestEvaluate:
         assert metrics["specificity"] == 1.0
         assert metrics["ppv"] is None
         assert "n/a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keys, value", [
+        (("train_config", "dropout"), 1.5),
+        (("layers", 0, "weights", 0), "x"),
+        (("schema", "features", 1, "vocab"), []),
+        (("layers", 0, "weights", 0), float("nan")),
+        (("scaler", "stds", 0), 0.0),
+        (("dropout_rates",), [0.5]),
+        (("train_config", "batch_size"), "32"),
+    ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
+            "dropout-rates-short", "batch-size-string"])
+    def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
+        model = run_train(small_csv, tmp_path / "run")
+        raw = json.loads(model.read_text())
+        mutate(raw, keys, value)
+        model.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--data", small_csv]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_missing_model_exits_4(self, small_csv, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),

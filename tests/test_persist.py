@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,11 +24,24 @@ def make_artifact(seed=0, d=4):
         schema=schema,
         scaler=scaler,
         mlp=init_mlp(d, [5, 3], seed=seed),
-        train_config=TrainConfig(seed=seed),
+        # every field away from its default, so a field dropped on save or
+        # load cannot pass the round trip unnoticed
+        train_config=TrainConfig(learning_rate=0.01, beta1=0.8, beta2=0.99, epsilon=1e-7,
+                                 epochs=20, batch_size=16, dropout=0.25,
+                                 validation_fraction=0.1,
+                                 validation_source="test-as-paper", seed=seed + 40),
         final_metrics={"train": EvalResult(cm, compute_metrics(cm)),
                        "test": EvalResult(cm, compute_metrics(cm))},
         split=SplitInfo(seed=seed, ratio=0.8, stratified=False, indices_digest="d" * 64),
     )
+
+
+def mutate(raw: dict, keys: tuple, value) -> None:
+    """Set raw[keys[0]][keys[1]]... to value."""
+    *head, last = keys
+    for key in head:
+        raw = raw[key]
+    raw[last] = value
 
 
 class TestRoundTrip:
@@ -52,6 +66,8 @@ class TestRoundTrip:
         path = tmp_path / "m.json"
         save_model(artifact, str(path))
         loaded = load_model(str(path))
+        assert all(getattr(artifact.train_config, f.name) != f.default
+                   for f in fields(TrainConfig))
         assert loaded.schema == artifact.schema
         assert loaded.train_config == artifact.train_config
         assert loaded.split == artifact.split
@@ -76,6 +92,12 @@ class TestErrors:
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
         path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(CorruptArtifactError):
+            load_model(str(path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(CorruptArtifactError):
             load_model(str(path))
 
@@ -113,6 +135,38 @@ class TestErrors:
         layer = raw["layers"][1]
         layer["d_in"] = 7
         layer["weights"] = [0.0] * (7 * layer["d_out"])
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CorruptArtifactError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("keys, value", [
+        (("train_config", "dropout"), 1.5),
+        (("train_config", "batch_size"), "32"),
+        (("train_config", "epochs"), 0),
+        (("layers", 0, "weights", 0), "x"),
+        (("layers", 1, "weights", 2), float("nan")),
+        (("layers", 2, "bias", 0), float("inf")),
+        (("schema", "features", 1, "vocab"), []),
+        (("scaler", "means", 0), float("nan")),
+        (("scaler",), {"means": [0.0], "stds": [1.0]}),
+        (("scaler", "stds", 0), 0.0),
+        (("scaler", "stds", 1), -1.0),
+        (("dropout_rates",), [0.5]),
+        (("layers", 2, "activation"), "relu"),
+        (("schema", "target_vocab"), ["No", "No"]),
+        (("split", "ratio"), 2.0),
+        (("split", "seed"), "x"),
+        (("final_metrics",), []),
+    ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
+            "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
+            "std-zero", "std-negative", "dropout-rates-short", "relu-output",
+            "target-vocab-repeated", "split-ratio-2", "split-seed-string",
+            "final-metrics-list"])
+    def test_malformed_value(self, tmp_path, keys, value):
+        path = tmp_path / "m.json"
+        save_model(make_artifact(), str(path))
+        raw = json.loads(path.read_text())
+        mutate(raw, keys, value)
         path.write_text(json.dumps(raw))
         with pytest.raises(CorruptArtifactError):
             load_model(str(path))
