@@ -3,7 +3,9 @@
 Usage: python scripts/golden_bytes.py
 
 Writes the synthetic 383-row table from tests/synth.py, runs train,
-evaluate, explain and sensitivity for seeds 1 and 7, plus one
+evaluate, explain and sensitivity for seeds 1 and 7, then on the seed-7
+model explains rows 0 and 200 (the latter with `--num-features 16`) and runs
+`sensitivity --levels 6 --trajectories 40`, plus one
 `train --val-source test-as-paper --stratify --epochs 20`, and prints one
 `sha256  relative/path` line per emitted file, sorted by path. Run it on two
 commits on the same machine and diff the listings: a refactor that keeps the
@@ -47,6 +49,13 @@ def emit(work: Path) -> None:
         run("evaluate", "--model", model, "--partition", "test", *common)
         run("explain", "--model", model, "--index", str(EXPLAIN_INDEX), *common)
         run("sensitivity", "--model", model, *common)
+    seed7 = work / "out" / "seed7"
+    common = ["--data", data, "--seed", "7", "--model", str(seed7 / "model.json")]
+    run("explain", *common, "--index", "0", "--out", str(seed7 / "row0"))
+    run("explain", *common, "--index", "200", "--num-features", "16",
+        "--out", str(seed7 / "row200"))
+    run("sensitivity", *common, "--levels", "6", "--trajectories", "40",
+        "--out", str(seed7 / "levels6"))
     run("train", "--data", data, "--seed", "1", "--out", str(work / "out" / "paper"),
         "--val-source", "test-as-paper", "--stratify", "--epochs", "20")
 

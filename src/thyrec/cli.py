@@ -4,7 +4,8 @@ Every command is a deterministic function of (inputs, flags, seed); emitted
 files carry no timestamps or environment state, so identical invocations
 produce byte-identical outputs. Wall-clock timing goes to stdout only.
 
-Exit codes: 0 success, 2 invalid flag, 3 data error, 4 artifact error.
+Exit codes: 0 success, 2 invalid flag or unwritable --out, 3 data error,
+4 artifact error.
 """
 
 from __future__ import annotations
@@ -301,10 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, OSError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:    # a flag, or writing under --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,12 +55,15 @@ class Feature:
     vocab: tuple[str, ...] = ()    # sorted categories; empty for numeric
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("feature name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError("feature name must be a non-empty string")
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.kind == CATEGORICAL and not self.vocab:
-            raise ValueError(f"categorical feature {self.name!r} needs a vocab")
+        if (self.kind == CATEGORICAL) != bool(self.vocab):
+            raise ValueError(f"feature {self.name!r}: a categorical feature needs a "
+                             f"vocab and a numeric one takes none")
+        if not all(isinstance(c, str) for c in self.vocab):
+            raise ValueError(f"feature {self.name!r}: categories must be strings")
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,11 @@ class FeatureSchema:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if len(self.target_vocab) != 2 or self.target_vocab[0] == self.target_vocab[1]:
-            raise ValueError("target vocab must have exactly 2 distinct entries")
+        if not isinstance(self.target_name, str):
+            raise ValueError("target name must be a string")
+        if len(self.target_vocab) != 2 or self.target_vocab[0] == self.target_vocab[1] \
+                or not all(isinstance(c, str) for c in self.target_vocab):
+            raise ValueError("target vocab must have exactly 2 distinct string entries")
 
     @property
     def feature_names(self) -> list[str]:
@@ -162,7 +168,7 @@ def load_csv(path: str) -> Dataset:
             table = list(reader)
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not table:
         raise EmptyDatasetError(f"{path}: empty file")

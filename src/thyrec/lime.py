@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, FeatureSchema, Scaler, decode_category
+from .data import NUMERIC, FeatureSchema, Scaler, decode_category
 
 
 class SingularSystemError(ValueError):
@@ -32,7 +32,6 @@ class LimeConfig:
     num_features: int = 10
     ridge_lambda: float = 1.0
     seed: int = 0
-    discretize_continuous: bool = True
 
     def __post_init__(self):
         if self.num_samples < 10:
@@ -45,31 +44,25 @@ class LimeConfig:
             raise ValueError("ridge_lambda must be >= 0")
 
 
-@dataclass
-class Discretizer:
-    """Quartile edges per continuous feature; categorical features (and
-    continuous ones when discretization is off) pass through and are binned
-    by exact value."""
-    kinds: list[str]
-    edges: list[np.ndarray | None]
-
-    def bin_key(self, feature: int, value: float) -> int | float:
-        edges = self.edges[feature]
-        if edges is None:
-            return float(value)
-        return int(np.searchsorted(edges, value, side="left"))
+def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):
+    """Bin keys of one feature's values: the values themselves for a
+    categorical feature (edges None), otherwise the quartile bin index 0-3,
+    with a value on an edge falling in the lower bin."""
+    if edges is None:
+        return values
+    return np.searchsorted(edges, values, side="left")
 
 
 @dataclass
 class FeatureBins:
-    keys: list            # bin keys observed in training, ascending
+    keys: np.ndarray      # bin keys observed in training, ascending
     freqs: np.ndarray     # empirical probability per key
     values: list[np.ndarray]  # training model-space values per key
 
 
 @dataclass
 class PerturbationStats:
-    discretizer: Discretizer
+    edges: list[np.ndarray | None]   # from fit_discretizer
     bins: list[FeatureBins]
 
 
@@ -83,40 +76,31 @@ class Explanation:
     surrogate_prediction: float
 
 
-def fit_discretizer(X_train: np.ndarray, schema: FeatureSchema | None,
-                    discretize_continuous: bool = True) -> Discretizer:
+def fit_discretizer(X_train: np.ndarray,
+                    schema: FeatureSchema | None) -> list[np.ndarray | None]:
     """Quartile edges (q25, q50, q75) per continuous feature, computed with
-    the linear-interpolation quantile rule on the training rows."""
+    the linear-interpolation quantile rule on the training rows; None for a
+    categorical feature. Without a schema every feature is continuous."""
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.shape[0] < 4:
         raise ValueError("need at least 4 training rows to fit quartiles")
     d = X_train.shape[1]
-    if schema is None:
-        kinds = [NUMERIC] * d
-    else:
-        kinds = [f.kind for f in schema.features]
-    edges: list[np.ndarray | None] = []
-    for j in range(d):
-        if kinds[j] == NUMERIC and discretize_continuous:
-            edges.append(np.quantile(X_train[:, j], [0.25, 0.5, 0.75]))
-        else:
-            edges.append(None)
-    return Discretizer(kinds=kinds, edges=edges)
+    kinds = [NUMERIC] * d if schema is None else [f.kind for f in schema.features]
+    return [np.quantile(X_train[:, j], [0.25, 0.5, 0.75]) if kind == NUMERIC else None
+            for j, kind in enumerate(kinds)]
 
 
-def build_stats(X_train: np.ndarray, discretizer: Discretizer) -> PerturbationStats:
+def build_stats(X_train: np.ndarray, edges: list[np.ndarray | None]) -> PerturbationStats:
     """Per-feature empirical bin distribution and the training values in
-    each bin, used to draw perturbations."""
+    each bin, in row order, used to draw perturbations."""
     X_train = np.asarray(X_train, dtype=np.float64)
     bins: list[FeatureBins] = []
-    for j in range(X_train.shape[1]):
-        col = X_train[:, j]
-        keys_per_row = [discretizer.bin_key(j, v) for v in col]
-        keys = sorted(set(keys_per_row))
-        counts = np.array([keys_per_row.count(k) for k in keys], dtype=np.float64)
-        values = [col[[kk == k for kk in keys_per_row]] for k in keys]
-        bins.append(FeatureBins(keys=keys, freqs=counts / counts.sum(), values=values))
-    return PerturbationStats(discretizer=discretizer, bins=bins)
+    for j, col in enumerate(X_train.T):
+        keys, inverse, counts = np.unique(bin_codes(edges[j], col), return_inverse=True,
+                                          return_counts=True)
+        bins.append(FeatureBins(keys=keys, freqs=counts / counts.sum(),
+                                values=[col[inverse == k] for k in range(len(keys))]))
+    return PerturbationStats(edges=edges, bins=bins)
 
 
 def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
@@ -137,7 +121,7 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
     Zm = np.tile(instance, (n, 1))
     for j in range(d):
         fb = stats.bins[j]
-        inst_key = stats.discretizer.bin_key(j, instance[j])
+        inst_key = bin_codes(stats.edges[j], instance[j])
         draws = rng.choice(len(fb.keys), size=n - 1, p=fb.freqs)
         for k, key in enumerate(fb.keys):
             if key == inst_key:
@@ -193,18 +177,15 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     return beta, intercept, min(max(r2, 0.0), 1.0)
 
 
-def _descriptor(j: int, instance: np.ndarray, disc: Discretizer,
+def _descriptor(j: int, instance: np.ndarray, edges: np.ndarray | None,
                 schema: FeatureSchema | None, scaler: Scaler | None) -> str:
     name = schema.features[j].name if schema is not None else f"f{j}"
-    edges = disc.edges[j]
-    if disc.kinds[j] == CATEGORICAL and schema is not None:
+    if edges is None:     # categorical, so a schema is present
         code = instance[j]
         if scaler is not None:
             code = code * scaler.stds[j] + scaler.means[j]
         return f"{name} = {decode_category(schema, j, code)}"
-    if edges is None:
-        return f"{name} = {instance[j]:.2f}"
-    b = disc.bin_key(j, instance[j])
+    b = bin_codes(edges, instance[j])
     if b == 0:
         return f"{name} <= {edges[0]:.2f}"
     if b == len(edges):
@@ -228,8 +209,8 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     if instance.shape[0] != d:
         raise ValueError(f"instance has {instance.shape[0]} features, training data {d}")
     rng = np.random.default_rng(config.seed)
-    disc = fit_discretizer(X_train, schema, config.discretize_continuous)
-    stats = build_stats(X_train, disc)
+    edges = fit_discretizer(X_train, schema)
+    stats = build_stats(X_train, edges)
     Z, Zm = sample_perturbations(instance, config.num_samples, stats, rng)
     width = config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
     distance = np.sqrt(np.square(1.0 - Z).sum(axis=1))
@@ -238,7 +219,7 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)
     k = min(config.num_features, d)
     top = np.argsort(-np.abs(coefs), kind="stable")[:k]
-    feature_weights = [(_descriptor(j, instance, disc, schema, scaler), float(coefs[j]))
+    feature_weights = [(_descriptor(j, instance, edges[j], schema, scaler), float(coefs[j]))
                        for j in top]
     p1 = float(np.asarray(predict_fn(instance[None, :])).ravel()[0])
     return Explanation(

@@ -10,12 +10,9 @@ effect and sigma the sample standard deviation across trajectories.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import Scaler, apply_scaler
 
 
 class NonFiniteModelOutputError(ValueError):
@@ -29,7 +26,6 @@ class TooFewTrajectoriesError(ValueError):
 @dataclass
 class MorrisConfig:
     levels: int = 4
-    delta: float | None = None       # default p / (2 (p - 1))
     trajectories: int = 100
     seed: int = 0
 
@@ -38,13 +34,12 @@ class MorrisConfig:
             raise ValueError("levels must be even and >= 2")
         if self.trajectories < 2:
             raise ValueError("need at least 2 trajectories")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
 
     @property
     def effective_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
+        """Grid step p / (2 (p - 1)), i.e. p / 2 levels (Morris 1991): each
+        coordinate moves between a level in the lower half of the grid and its
+        partner in the upper half, so all p levels are sampled equally often."""
         return self.levels / (2.0 * (self.levels - 1))
 
 
@@ -97,11 +92,11 @@ def generate_trajectories(d: int, config: MorrisConfig,
         base = rng.choice(allowed, size=d)
         direction = rng.choice(np.array([-1.0, 1.0]), size=d)
         order = rng.permutation(d)
-        # a coordinate stepping down starts at base + delta and ends at base
-        points = np.tile(base + delta * (direction < 0), (d + 1, 1))
-        for step, j in enumerate(order):
-            points[step + 1:, j] = base[j] + (delta if direction[j] > 0 else 0.0)
-        trajs[t] = points
+        # a coordinate stepping down starts at base + delta and ends at base;
+        # row k holds the end value of every coordinate among the first k moved
+        moved = np.arange(d + 1)[:, None] > np.argsort(order)
+        trajs[t] = np.where(moved, base + delta * (direction > 0),
+                            base + delta * (direction < 0))
     return np.clip(trajs, 0.0, 1.0)
 
 
@@ -114,20 +109,16 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     configured delta, not the recomputed float difference, so exact-linearity
     identities survive in f64. Degenerate features get EE = 0.
     """
-    r, _, d = trajectories.shape
-    degenerate = ranges.degenerate
-    ee = np.zeros((r, d))
-    for t in range(r):
-        unit = trajectories[t]
-        values = np.asarray(f(ranges.map_unit(unit)), dtype=np.float64).ravel()
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteModelOutputError("model returned a non-finite output")
-        diffs = np.diff(unit, axis=0)
-        for k in range(d):
-            j = int(np.argmax(np.abs(diffs[k])))
-            if degenerate[j]:
-                continue
-            ee[t, j] = (values[k + 1] - values[k]) / math.copysign(delta, diffs[k, j])
+    values = np.array([np.asarray(f(ranges.map_unit(unit)), dtype=np.float64).ravel()
+                       for unit in trajectories])
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteModelOutputError("model returned a non-finite output")
+    diffs = np.diff(trajectories, axis=1)                # r x d steps x d coordinates
+    moved = np.argmax(np.abs(diffs), axis=2)             # coordinate moved at each step
+    step = np.take_along_axis(diffs, moved[..., None], axis=2)[..., 0]
+    ee = np.zeros(moved.shape)
+    np.put_along_axis(ee, moved, np.diff(values, axis=1) / np.copysign(delta, step), axis=1)
+    ee[:, ranges.degenerate] = 0.0
     return ee
 
 
@@ -149,16 +140,13 @@ def aggregate(ee: np.ndarray, feature_names: list[str]) -> MorrisResult:
 
 
 def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
-            feature_names: list[str] | None = None,
-            scaler: Scaler | None = None) -> MorrisResult:
+            feature_names: list[str] | None = None) -> MorrisResult:
     """Morris screening of predict_fn over the observed feature ranges.
 
-    X_train is the training matrix in model space; pass scaler to standardize
-    it first. Total model evaluations: trajectories * (d + 1).
+    X_train is the training matrix in model space. Total model evaluations:
+    trajectories * (d + 1).
     """
     X = np.asarray(X_train, dtype=np.float64)
-    if scaler is not None:
-        X = apply_scaler(scaler, X)
     d = X.shape[1]
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(d)]
     if len(names) != d:

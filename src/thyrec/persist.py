@@ -9,8 +9,12 @@ and save -> load -> save is the identity.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import types
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,8 +49,8 @@ class SplitInfo:
     indices_digest: str
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0.0 < self.ratio < 1.0:
-            raise ValueError("split needs an integer seed and a ratio in (0, 1)")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError("split ratio must be in (0, 1)")
 
 
 @dataclass
@@ -104,20 +108,45 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
         fh.write(text + "\n")
 
 
-def _get(mapping: dict, key: str, context: str):
+def _matches(value, hint) -> bool:
+    """Whether a JSON value has a declared type: a bool only for bool, an
+    int that is not a bool for int, any finite number for float, null only
+    for X | None."""
+    if get_origin(hint) is types.UnionType:
+        return any(_matches(value, h) for h in get_args(hint))
+    if hint is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is hint
+
+
+def _get(mapping: dict, key: str, context: str, hint=None):
+    """mapping[key], which must have type hint when one is given."""
     try:
-        return mapping[key]
+        value = mapping[key]
     except (KeyError, TypeError):
         raise MissingFieldError(f"missing field {context}.{key}") from None
+    if hint is not None and not _matches(value, hint):
+        name = getattr(hint, "__name__", hint)
+        raise CorruptArtifactError(f"{context}.{key} must be {name}, not {value!r:.40}")
+    return value
+
+
+# get_type_hints compiles each string annotation on every call
+_type_hints = functools.cache(get_type_hints)
 
 
 def _record(cls, d: dict, context: str):
-    """Build dataclass cls from the mapping d, one entry per field."""
-    return cls(**{f.name: _get(d, f.name, context) for f in fields(cls)})
+    """Build dataclass cls from the mapping d, one entry per field, each of
+    the type its annotation declares."""
+    hints = _type_hints(cls)
+    return cls(**{f.name: _get(d, f.name, context, hints[f.name]) for f in fields(cls)})
 
 
 def _array(d: dict, key: str, context: str) -> np.ndarray:
-    values = np.asarray(_get(d, key, context), dtype=np.float64)
+    values = _get(d, key, context, list)
+    if not {type(v) for v in values} <= {int, float}:
+        raise CorruptArtifactError(f"{context}.{key} must hold numbers only")
+    values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise CorruptArtifactError(f"{context}.{key} holds a non-finite value")
     return values
@@ -125,14 +154,14 @@ def _array(d: dict, key: str, context: str) -> np.ndarray:
 
 def _schema_from_dict(d: dict) -> FeatureSchema:
     features = tuple(Feature(_get(fd, "name", "feature"), _get(fd, "kind", "feature"),
-                             tuple(_get(fd, "vocab", "feature")))
-                     for fd in _get(d, "features", "schema"))
+                             tuple(_get(fd, "vocab", "feature", list)))
+                     for fd in _get(d, "features", "schema", list))
     return FeatureSchema(features, _get(d, "target_name", "schema"),
-                         tuple(_get(d, "target_vocab", "schema")))
+                         tuple(_get(d, "target_vocab", "schema", list)))
 
 
 def _artifact_from_dict(raw: dict) -> ModelArtifact:
-    version = _get(raw, "format_version", "artifact")
+    version = _get(raw, "format_version", "artifact", int)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"format_version {version} not supported (expected {FORMAT_VERSION})")
@@ -150,9 +179,9 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
 
     layers = []
     prev_out = None
-    layer_dicts = _get(raw, "layers", "artifact")
+    layer_dicts = _get(raw, "layers", "artifact", list)
     for i, ld in enumerate(layer_dicts):
-        d_in, d_out = _get(ld, "d_in", "layer"), _get(ld, "d_out", "layer")
+        d_in, d_out = _get(ld, "d_in", "layer", int), _get(ld, "d_out", "layer", int)
         weights = _array(ld, "weights", f"layer {i}")
         bias = _array(ld, "bias", f"layer {i}")
         if weights.shape != (d_in * d_out,) or bias.shape != (d_out,):
@@ -171,13 +200,13 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
     if layers[0].W.shape[0] != d:
         raise CorruptArtifactError("first layer width does not match the schema")
 
-    dropout_rates = [float(x) for x in _get(raw, "dropout_rates", "artifact")]
+    dropout_rates = _array(raw, "dropout_rates", "artifact").tolist()
     if len(dropout_rates) != len(layers) - 1:
         raise CorruptArtifactError(
             f"{len(dropout_rates)} dropout rates for {len(layers) - 1} hidden layers")
 
     final = {}
-    for name, ed in _get(raw, "final_metrics", "artifact").items():
+    for name, ed in _get(raw, "final_metrics", "artifact", dict).items():
         final[name] = EvalResult(
             _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion"),
             _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics"))
@@ -196,13 +225,13 @@ def load_model(path: str) -> ModelArtifact:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ArtifactError(f"no such model file: {path}") from exc
+    except OSError as exc:        # missing, a directory, unreadable
+        raise ArtifactError(f"cannot read model file: {exc}") from exc
     except ValueError as exc:     # JSONDecodeError or UnicodeDecodeError
         raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
-    # Constructors and numpy reject malformed values, and values of the wrong
-    # JSON type, with these errors; in a file we read, that is a corrupt
-    # artifact, not bad usage.
+    # Constructors and numpy reject out-of-range or inconsistent values with
+    # these errors; in a file we read, that is a corrupt artifact, not bad
+    # usage.
     try:
         return _artifact_from_dict(raw)
     except (ValueError, TypeError, AttributeError) as exc:

@@ -76,6 +76,13 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_out_is_a_file_exits_2(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["train", "--data", small_csv, "--out", str(out),
+                     "--epochs", "1"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_zero_epochs_exits_2(self, small_csv, tmp_path):
         assert main(["train", "--data", small_csv, "--out", str(tmp_path),
                      "--epochs", "0"]) == 2
@@ -144,6 +151,10 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                      "--data", small_csv]) == 4
 
+    def test_model_directory_exits_4(self, small_csv, tmp_path, capsys):
+        assert main(["evaluate", "--model", str(tmp_path), "--data", small_csv]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_wrong_data_for_split_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run5")
         other = tmp_path / "other.csv"
@@ -177,6 +188,15 @@ class TestExplain:
                          "--out", str(out), "--seed", "11"]) == 0
             outs.append((out / "explanation.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_out_is_a_file_exits_2(self, small_csv, tmp_path, capsys):
+        model = run_train(small_csv, tmp_path / "run")
+        out = tmp_path / "taken"
+        out.write_text("")
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model), "--data", small_csv,
+                     "--index", "0", "--num-samples", "50", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_index_out_of_range_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thyrec.data import CATEGORICAL, Feature, FeatureSchema, Scaler
-from thyrec.lime import (Discretizer, LimeConfig, SingularSystemError, build_stats,
+from thyrec.lime import (LimeConfig, SingularSystemError, bin_codes, build_stats,
                          explain, fit_discretizer, fit_surrogate, kernel_weight,
                          sample_perturbations)
 
@@ -19,28 +19,30 @@ def toy_schema(kinds_vocabs):
 class TestDiscretizer:
     def test_quartile_edges_one_to_eight(self):
         X = np.arange(1.0, 9.0)[:, None]
-        disc = fit_discretizer(X, schema=None)
-        assert disc.edges[0] == pytest.approx([2.75, 4.5, 6.25], abs=1e-12)
+        edges = fit_discretizer(X, schema=None)
+        assert edges[0] == pytest.approx([2.75, 4.5, 6.25], abs=1e-12)
 
     def test_constant_feature_single_bin(self):
         X = np.full((10, 1), 3.0)
-        disc = fit_discretizer(X, schema=None)
-        assert disc.edges[0].tolist() == [3.0, 3.0, 3.0]
-        assert len({disc.bin_key(0, v) for v in X[:, 0]}) == 1
+        edges = fit_discretizer(X, schema=None)
+        assert edges[0].tolist() == [3.0, 3.0, 3.0]
+        assert len(set(bin_codes(edges[0], X[:, 0]).tolist())) == 1
 
     def test_categorical_pass_through(self):
         schema = toy_schema([(CATEGORICAL, ("a", "b"))])
-        disc = fit_discretizer(np.array([[0.0], [1.0], [0.0], [1.0]]), schema)
-        assert disc.edges[0] is None
-        assert disc.bin_key(0, 1.0) == 1.0
+        edges = fit_discretizer(np.array([[0.0], [1.0], [0.0], [1.0]]), schema)
+        assert edges[0] is None
+        assert bin_codes(edges[0], 1.0) == 1.0
 
     def test_bin_assignment(self):
-        disc = Discretizer(kinds=["numeric"], edges=[np.array([2.75, 4.5, 6.25])])
-        assert disc.bin_key(0, 1.0) == 0
-        assert disc.bin_key(0, 3.0) == 1
-        assert disc.bin_key(0, 4.5) == 1      # boundary belongs to the lower bin
-        assert disc.bin_key(0, 5.0) == 2
-        assert disc.bin_key(0, 9.0) == 3
+        edges = np.array([2.75, 4.5, 6.25])
+        assert bin_codes(edges, 1.0) == 0
+        assert bin_codes(edges, 3.0) == 1
+        assert bin_codes(edges, 4.5) == 1      # boundary belongs to the lower bin
+        assert bin_codes(edges, 5.0) == 2
+        assert bin_codes(edges, 9.0) == 3
+        assert bin_codes(edges, np.array([1.0, 3.0, 4.5, 5.0, 9.0])).tolist() == \
+            [0, 1, 1, 2, 3]
 
     def test_needs_four_rows(self):
         with pytest.raises(ValueError):
@@ -81,6 +83,44 @@ class TestSamplePerturbations:
         stats = build_stats(X, fit_discretizer(X, schema))
         Z, _ = sample_perturbations(X[0], 100, stats, np.random.default_rng(4))
         assert np.all(Z[:, 1] == 1.0)
+
+
+class TestBuildStats:
+    def test_bins_in_key_and_row_order(self):
+        # quartiles of 1..9 with repeats are exactly 3, 5 and 7, which the
+        # column also holds, so those values must land in the lower bin
+        num = np.array([5.0, 1.0, 3.0, 9.0, 7.0, 3.0, 2.0, 5.0, 8.0])
+        cat = np.array([2.0, 0.0, 2.0, 1.0, 0.0, 2.0, 2.0, 1.0, 0.0])
+        X = np.column_stack([num, cat])
+        edges = fit_discretizer(X, toy_schema([("numeric", ()),
+                                               (CATEGORICAL, ("a", "b", "c"))]))
+        assert edges[0].tolist() == [3.0, 5.0, 7.0]
+        stats = build_stats(X, edges)
+        assert stats.edges is edges
+        numeric, categorical = stats.bins
+        assert numeric.keys.tolist() == [0, 1, 2, 3]
+        assert numeric.freqs.tolist() == [4 / 9, 2 / 9, 1 / 9, 2 / 9]
+        assert [v.tolist() for v in numeric.values] == \
+            [[1.0, 3.0, 3.0, 2.0], [5.0, 5.0], [7.0], [9.0, 8.0]]
+        assert categorical.keys.tolist() == [0.0, 1.0, 2.0]
+        assert categorical.freqs.tolist() == [3 / 9, 2 / 9, 4 / 9]
+        assert [v.tolist() for v in categorical.values] == \
+            [[0.0, 0.0, 0.0], [1.0, 1.0], [2.0, 2.0, 2.0, 2.0]]
+
+    def test_matches_per_cell_reference(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([rng.integers(0, 6, size=200).astype(float),
+                             rng.normal(size=200),
+                             rng.integers(0, 3, size=200) * 0.7 - 0.4])
+        edges = fit_discretizer(X, toy_schema([("numeric", ()), ("numeric", ()),
+                                               (CATEGORICAL, ("a", "b", "c"))]))
+        for j, fb in enumerate(build_stats(X, edges).bins):
+            codes = [bin_codes(edges[j], v) for v in X[:, j]]
+            keys = sorted(set(codes))
+            assert fb.keys.tolist() == keys
+            assert fb.freqs.tolist() == [codes.count(k) / len(codes) for k in keys]
+            for k, values in zip(keys, fb.values):
+                assert np.array_equal(values, X[[c == k for c in codes], j])
 
 
 class TestKernel:

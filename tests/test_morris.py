@@ -13,6 +13,51 @@ def unit_ranges(d):
     return FeatureRanges(lo=np.zeros(d), hi=np.ones(d))
 
 
+def loop_trajectories(d, config, rng):
+    """Step-by-step reference for generate_trajectories."""
+    delta = config.effective_delta
+    grid = np.arange(config.levels) / (config.levels - 1)
+    allowed = grid[grid <= 1.0 - delta + 1e-12]
+    trajs = np.empty((config.trajectories, d + 1, d))
+    for t in range(config.trajectories):
+        base = rng.choice(allowed, size=d)
+        direction = rng.choice(np.array([-1.0, 1.0]), size=d)
+        order = rng.permutation(d)
+        points = np.tile(base + delta * (direction < 0), (d + 1, 1))
+        for step, j in enumerate(order):
+            points[step + 1:, j] = base[j] + (delta if direction[j] > 0 else 0.0)
+        trajs[t] = points
+    return np.clip(trajs, 0.0, 1.0)
+
+
+def loop_effects(f, trajectories, ranges, delta):
+    """Step-by-step reference for elementary_effects."""
+    r, _, d = trajectories.shape
+    ee = np.zeros((r, d))
+    for t in range(r):
+        values = f(ranges.map_unit(trajectories[t]))
+        diffs = np.diff(trajectories[t], axis=0)
+        for k in range(d):
+            j = int(np.argmax(np.abs(diffs[k])))
+            if not ranges.degenerate[j]:
+                ee[t, j] = (values[k + 1] - values[k]) / math.copysign(delta, diffs[k, j])
+    return ee
+
+
+@pytest.mark.parametrize("levels", [4, 6, 8])
+def test_matches_step_by_step_reference(levels):
+    config = MorrisConfig(levels=levels, trajectories=30, seed=levels)
+    trajs = generate_trajectories(6, config, np.random.default_rng(levels))
+    reference = loop_trajectories(6, config, np.random.default_rng(levels))
+    assert np.array_equal(trajs, reference)
+    mlp = init_mlp(6, [8], seed=levels, dropout=0.0)
+    ranges = FeatureRanges(lo=np.array([-1.0, 0.0, 2.0, -3.0, 0.5, 1.0]),
+                           hi=np.array([1.0, 4.0, 2.0, 3.0, 0.7, 1.0]))
+    f = lambda X: predict_proba(mlp, X)
+    assert np.array_equal(elementary_effects(f, trajs, ranges, config.effective_delta),
+                          loop_effects(f, trajs, ranges, config.effective_delta))
+
+
 class TestTrajectories:
     @pytest.mark.parametrize("d,levels,seed", [(2, 4, 0), (5, 4, 1), (16, 4, 2),
                                                (3, 6, 3), (4, 8, 4)])
@@ -42,8 +87,6 @@ class TestTrajectories:
             MorrisConfig(levels=3)
         with pytest.raises(ValueError):
             MorrisConfig(trajectories=1)
-        with pytest.raises(ValueError):
-            MorrisConfig(delta=1.5)
 
 
 class TestElementaryEffects:
@@ -91,6 +134,20 @@ class TestElementaryEffects:
         ee = elementary_effects(lambda X: X.sum(axis=1), trajs, ranges,
                                 config.effective_delta)
         assert np.all(ee[:, 1] == 0.0)
+
+    def test_one_call_per_trajectory(self):
+        # batching trajectories into one call moves outputs by about 1 ULP,
+        # which would change sensitivity.csv; each trajectory is its own batch
+        shapes = []
+
+        def counting(X):
+            shapes.append(X.shape)
+            return X.sum(axis=1)
+
+        config = MorrisConfig(trajectories=7, seed=8)
+        trajs = generate_trajectories(5, config, np.random.default_rng(8))
+        elementary_effects(counting, trajs, unit_ranges(5), config.effective_delta)
+        assert shapes == [(6, 5)] * 7
 
     def test_non_finite_output_rejected(self):
         config = MorrisConfig(trajectories=5, seed=4)

@@ -7,9 +7,10 @@ import pytest
 from thyrec.data import Feature, FeatureSchema, Scaler
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
-from thyrec.persist import (CorruptArtifactError, EvalResult, MissingFieldError,
-                            ModelArtifact, SplitInfo, UnsupportedVersionError,
-                            load_model, save_model)
+from thyrec.cli import main as cli_main
+from thyrec.persist import (ArtifactError, CorruptArtifactError, EvalResult,
+                            MissingFieldError, ModelArtifact, SplitInfo,
+                            UnsupportedVersionError, load_model, save_model)
 
 
 def make_artifact(seed=0, d=4):
@@ -157,11 +158,23 @@ class TestErrors:
         (("split", "ratio"), 2.0),
         (("split", "seed"), "x"),
         (("final_metrics",), []),
+        (("train_config", "seed"), "x"),
+        (("train_config", "epochs"), True),
+        (("train_config", "validation_source"), 3),
+        (("final_metrics", "test", "confusion", "tp"), "7"),
+        (("final_metrics", "test", "metrics", "accuracy"), "high"),
+        (("dropout_rates", 0), "0.5"),
+        (("layers", 0, "weights", 5), True),
+        (("schema", "features", 0, "vocab"), ["a", "b"]),
+        (("split", "stratified"), "no"),
+        (("schema", "target_name"), 7),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
             "target-vocab-repeated", "split-ratio-2", "split-seed-string",
-            "final-metrics-list"])
+            "final-metrics-list", "seed-string", "epochs-bool", "val-source-int",
+            "tp-string", "accuracy-string", "dropout-rate-string", "weight-bool",
+            "numeric-vocab", "stratified-string", "target-name-int"])
     def test_malformed_value(self, tmp_path, keys, value):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
@@ -170,3 +183,65 @@ class TestErrors:
         path.write_text(json.dumps(raw))
         with pytest.raises(CorruptArtifactError):
             load_model(str(path))
+
+
+def _leaves(node, path=()):
+    """Yield the path of every scalar in a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+class TestFuzz:
+    """Every scalar of a saved artifact swapped for a value of another JSON
+    type must be refused; only null in a metric is valid (undefined)."""
+
+    def cases(self, raw, rng):
+        leaves = list(_leaves(raw))
+        in_arrays = [p for p in leaves if isinstance(p[-1], int)]
+        sample = rng.choice(len(in_arrays), size=16, replace=False)
+        chosen = [p for p in leaves if not isinstance(p[-1], int)]
+        chosen += [in_arrays[i] for i in sorted(sample)]
+        for path in chosen:
+            value = raw
+            for key in path:
+                value = value[key]
+            swaps = [None, bool(rng.integers(2)), int(rng.integers(3)), str(value),
+                     [value], {"v": value}]
+            undefined_metric = path[2:3] == ("metrics",)
+            for swap in swaps:
+                if _kind(swap) != _kind(value) and not (swap is None and undefined_metric):
+                    yield path, swap
+
+    def test_wrong_json_type_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_model(make_artifact(), str(path))
+        text = path.read_text()
+        rng = np.random.default_rng(2024)
+        cases = list(self.cases(json.loads(text), rng))
+        assert len(cases) > 250
+        accepted = []
+        for keys, swap in cases:
+            raw = json.loads(text)
+            mutate(raw, keys, swap)
+            path.write_text(json.dumps(raw))
+            try:
+                load_model(str(path))
+            except ArtifactError:
+                continue
+            accepted.append((keys, swap))
+        assert accepted == []
+        for i in rng.choice(len(cases), size=4, replace=False):
+            raw = json.loads(text)
+            mutate(raw, *cases[i])
+            path.write_text(json.dumps(raw))
+            capsys.readouterr()
+            assert cli_main(["evaluate", "--model", str(path),
+                             "--data", str(tmp_path / "unread.csv")]) == 4
+            assert len(capsys.readouterr().err.splitlines()) == 1
