@@ -25,8 +25,8 @@ from .data import (DataError, SchemaMismatchError, apply_scaler, encode_with_sch
 from .lime import LimeConfig, explain
 from .metrics import compute_metrics, confusion
 from .morris import MorrisConfig, analyze
-from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, init_mlp, predict_label,
-                     predict_proba, train)
+from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, init_mlp,
+                     predict_label, predict_proba, train)
 from .persist import (ArtifactError, EvalResult, ModelArtifact, SplitInfo,
                       eval_to_dict, load_model, save_model)
 
@@ -75,18 +75,14 @@ def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
     return split(len(y), ratio, seed)
 
 
-def _check_header(dataset, schema) -> None:
-    if dataset.schema.feature_names != schema.feature_names or \
-            dataset.schema.target_name != schema.target_name:
-        raise SchemaMismatchError(
-            f"data columns {dataset.schema.feature_names + [dataset.schema.target_name]} "
-            f"do not match the model's {schema.feature_names + [schema.target_name]}")
-
-
 def _load_for_model(data_path: str, artifact: ModelArtifact):
-    dataset = load_csv(data_path)
-    _check_header(dataset, artifact.schema)
-    return encode_with_schema(dataset.rows, dataset.targets, artifact.schema)
+    """Encode a CSV with the model's schema; nothing is inferred from it."""
+    dataset, schema = load_csv(data_path), artifact.schema
+    columns = schema.feature_names + [schema.target_name]
+    if dataset.header != columns:
+        raise SchemaMismatchError(
+            f"data columns {dataset.header} do not match the model's {columns}")
+    return encode_with_schema(dataset.rows, dataset.targets, schema)
 
 
 def _recover_split(artifact: ModelArtifact, y: np.ndarray):
@@ -268,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--val-source", choices=["train", "test-as-paper"], default="train")
+    p.add_argument("--val-source", choices=[VAL_FROM_TRAIN, VAL_FROM_TEST_AS_PAPER],
+                   default=VAL_FROM_TRAIN)
     p.add_argument("--stratify", action="store_true",
                    help="stratify the train/test split by class")
     p.set_defaults(func=cmd_train)

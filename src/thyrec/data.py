@@ -11,6 +11,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class Feature:
                              f"vocab and a numeric one takes none")
         if not all(isinstance(c, str) for c in self.vocab):
             raise ValueError(f"feature {self.name!r}: categories must be strings")
+        if any(a >= b for a, b in zip(self.vocab, self.vocab[1:])):
+            raise ValueError(f"feature {self.name!r}: vocab must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,10 @@ class FeatureSchema:
             raise ValueError("feature names must be unique")
         if not isinstance(self.target_name, str):
             raise ValueError("target name must be a string")
-        if len(self.target_vocab) != 2 or self.target_vocab[0] == self.target_vocab[1] \
-                or not all(isinstance(c, str) for c in self.target_vocab):
-            raise ValueError("target vocab must have exactly 2 distinct string entries")
+        if len(self.target_vocab) != 2 \
+                or not all(isinstance(c, str) for c in self.target_vocab) \
+                or not self.target_vocab[0] < self.target_vocab[1]:
+            raise ValueError("target vocab must be 2 strings in ascending order")
 
     @property
     def feature_names(self) -> list[str]:
@@ -93,12 +97,17 @@ class FeatureSchema:
 
 @dataclass
 class Dataset:
-    schema: FeatureSchema
-    rows: list[list[str]]
+    header: list[str]
+    rows: list[list[str]]    # feature cells, without the target
     targets: list[str]
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def schema(self) -> FeatureSchema:
+        """Inferred from the cells on first use; only training needs it."""
+        return build_schema(self.header, [r + [t] for r, t in zip(self.rows, self.targets)])
 
 
 @dataclass
@@ -122,12 +131,23 @@ class SplitIndices:
     ratio: float
 
 
-def _parse_number(cell: str) -> float | None:
+def _numbers(cells) -> np.ndarray | None:
+    """The cells as float64 (each parsed as Python's float() does), or None
+    unless every one is a finite number."""
     try:
-        value = float(cell)
+        values = np.array(cells, dtype=np.float64)
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
+    return values if np.isfinite(values).all() else None
+
+
+def _codes(vocab: tuple[str, ...], cells, what: str) -> np.ndarray:
+    """Index of each cell in vocab; SchemaMismatchError on any other value."""
+    index = {c: k for k, c in enumerate(vocab)}
+    try:
+        return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    except KeyError as exc:
+        raise SchemaMismatchError(f"{what}: value {exc.args[0]!r} not in vocab") from None
 
 
 def build_schema(header: list[str], rows: list[list[str]]) -> FeatureSchema:
@@ -142,14 +162,11 @@ def build_schema(header: list[str], rows: list[list[str]]) -> FeatureSchema:
     names = header[:-1]
     if len(set(names)) != len(names) or any(not n for n in names):
         raise DataError("column names must be unique and non-empty")
-    features = []
-    for j, name in enumerate(names):
-        cells = [row[j] for row in rows]
-        if all(_parse_number(c) is not None for c in cells):
-            features.append(Feature(name, NUMERIC))
-        else:
-            features.append(Feature(name, CATEGORICAL, tuple(sorted(set(cells)))))
-    distinct = sorted(set(row[-1] for row in rows))
+    *columns, targets = zip(*rows)
+    features = [Feature(name, NUMERIC) if _numbers(cells) is not None
+                else Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
+                for name, cells in zip(names, columns)]
+    distinct = sorted(set(targets))
     if len(distinct) != 2:
         raise TargetNotBinaryError(
             f"target has {len(distinct)} distinct values, expected 2: {distinct[:5]}")
@@ -160,7 +177,7 @@ def build_schema(header: list[str], rows: list[list[str]]) -> FeatureSchema:
 def load_csv(path: str) -> Dataset:
     """Load a CSV whose last column is a binary target.
 
-    The header row names the columns; the schema is inferred from the cells.
+    The header row names the columns; nothing is inferred (see Dataset.schema).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -179,9 +196,8 @@ def load_csv(path: str) -> Dataset:
     for i, row in enumerate(data):
         if len(row) != len(header):
             raise RaggedRowError(line=i + 2, expected=len(header), got=len(row))
-    schema = build_schema(header, data)
-    return Dataset(schema=schema, rows=[row[:-1] for row in data],
-                   targets=[row[-1] for row in data])
+    targets = [row.pop() for row in data]
+    return Dataset(header=header, rows=data, targets=targets)
 
 
 def label_encode(dataset: Dataset) -> EncodedDataset:
@@ -193,32 +209,23 @@ def label_encode(dataset: Dataset) -> EncodedDataset:
 def encode_with_schema(rows: list[list[str]], targets: list[str],
                        schema: FeatureSchema) -> EncodedDataset:
     """Encode raw rows against a fixed schema (used when evaluating new data
-    with a trained model's schema). Raises SchemaMismatchError on any cell
-    the schema cannot encode."""
+    with a trained model's schema), one column at a time. Raises
+    SchemaMismatchError on any cell the schema cannot encode."""
     n, d = len(rows), len(schema.features)
+    if min(map(len, rows), default=d) < d:
+        raise SchemaMismatchError(f"a row has fewer than the schema's {d} feature cells")
+    if len(targets) != n:
+        raise SchemaMismatchError(f"{n} rows but {len(targets)} targets")
+    columns = list(zip(*rows)) or [()] * d
     X = np.empty((n, d), dtype=np.float64)
-    for j, feat in enumerate(schema.features):
-        if feat.kind == NUMERIC:
-            for i, row in enumerate(rows):
-                value = _parse_number(row[j])
-                if value is None:
-                    raise SchemaMismatchError(
-                        f"column {feat.name!r}: non-numeric cell {row[j]!r}")
-                X[i, j] = value
-        else:
-            index = {c: k for k, c in enumerate(feat.vocab)}
-            for i, row in enumerate(rows):
-                try:
-                    X[i, j] = index[row[j]]
-                except KeyError:
-                    raise SchemaMismatchError(
-                        f"column {feat.name!r}: value {row[j]!r} not in vocab") from None
-    y = np.empty(n, dtype=np.int64)
-    positive = schema.positive_class
-    for i, t in enumerate(targets):
-        if t not in schema.target_vocab:
-            raise SchemaMismatchError(f"target value {t!r} not in {schema.target_vocab}")
-        y[i] = 1 if t == positive else 0
+    for j, (feat, cells) in enumerate(zip(schema.features, columns)):
+        what = f"column {feat.name!r}"
+        values = _numbers(cells) if feat.kind == NUMERIC else _codes(feat.vocab, cells, what)
+        if values is None:
+            raise SchemaMismatchError(f"{what}: a cell is not a finite number")
+        X[:, j] = values
+    # target_vocab is ascending, so a target's index is its 0/1 label
+    y = _codes(schema.target_vocab, targets, "target")
     return EncodedDataset(X=X, y=y, schema=schema)
 
 

@@ -76,6 +76,20 @@ class Explanation:
     surrogate_prediction: float
 
 
+QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _quartiles(col: np.ndarray) -> np.ndarray:
+    """np.quantile(col, QUARTILES) bit for bit (its linear rule on the order
+    statistics), without the numpy.ma import that np.quantile pulls in."""
+    pos = (len(col) - 1) * QUARTILES
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, len(col) - 1)
+    s = np.partition(col, np.concatenate([lo, hi]))
+    a, b, t = s[lo], s[hi], pos - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def fit_discretizer(X_train: np.ndarray,
                     schema: FeatureSchema | None) -> list[np.ndarray | None]:
     """Quartile edges (q25, q50, q75) per continuous feature, computed with
@@ -86,7 +100,7 @@ def fit_discretizer(X_train: np.ndarray,
         raise ValueError("need at least 4 training rows to fit quartiles")
     d = X_train.shape[1]
     kinds = [NUMERIC] * d if schema is None else [f.kind for f in schema.features]
-    return [np.quantile(X_train[:, j], [0.25, 0.5, 0.75]) if kind == NUMERIC else None
+    return [_quartiles(X_train[:, j]) if kind == NUMERIC else None
             for j, kind in enumerate(kinds)]
 
 
@@ -217,10 +231,9 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     weights = kernel_weight(distance, width)
     targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)
-    k = min(config.num_features, d)
-    top = np.argsort(-np.abs(coefs), kind="stable")[:k]
+    order = np.argsort(-np.abs(coefs), kind="stable")
     feature_weights = [(_descriptor(j, instance, edges[j], schema, scaler), float(coefs[j]))
-                       for j in top]
+                       for j in order[:config.num_features]]
     p1 = float(np.asarray(predict_fn(instance[None, :])).ravel()[0])
     return Explanation(
         instance_index=instance_index,
@@ -228,5 +241,7 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
         feature_weights=feature_weights,
         intercept=intercept,
         local_r2=r2,
-        surrogate_prediction=intercept + float(sum(w for _, w in feature_weights)),
+        # the surrogate at the instance (all ones), summed in the listed order so
+        # that with every feature listed it is exactly intercept + their weights
+        surrogate_prediction=intercept + sum(coefs[order].tolist()),
     )

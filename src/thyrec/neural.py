@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
+        if self.validation_source not in (VAL_FROM_TRAIN, VAL_FROM_TEST_AS_PAPER):
+            raise ValueError(f"unknown validation_source {self.validation_source!r}")
 
 
 @dataclass

@@ -1,10 +1,18 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thyrec
 from synth import write_csv
 from test_persist import mutate
+from thyrec import data
 from thyrec.cli import main
 from thyrec.persist import load_model, save_model
 
@@ -155,6 +163,33 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(tmp_path), "--data", small_csv]) == 4
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_single_class_file_all_partition(self, small_csv, tmp_path):
+        """Scored with the model's schema, a file whose rows share one class
+        is valid input, though no schema could be inferred from it."""
+        model = run_train(small_csv, tmp_path / "run")
+        lines = open(small_csv, encoding="utf-8").read().splitlines()
+        positives = [line for line in lines[1:] if line.endswith(",Yes")]
+        only_yes = tmp_path / "yes.csv"
+        only_yes.write_text("\n".join([lines[0], *positives]) + "\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--model", str(model), "--data", str(only_yes),
+                     "--partition", "all", "--out", str(out)]) == 0
+        cm = json.loads((out / "eval_report.json").read_text())["all"]["confusion"]
+        assert cm["tp"] + cm["fn"] == len(positives) and cm["fp"] + cm["tn"] == 0
+
+    def test_model_commands_never_infer_a_schema(self, small_csv, tmp_path, monkeypatch):
+        model = run_train(small_csv, tmp_path / "run")
+
+        def refuse(*args):
+            raise RuntimeError("build_schema called")
+        monkeypatch.setattr(data, "build_schema", refuse)
+        common = ["--model", str(model), "--data", small_csv]
+        assert main(["evaluate", *common, "--partition", "all"]) == 0
+        assert main(["explain", *common, "--index", "0", "--num-samples", "50",
+                     "--out", str(tmp_path / "exp")]) == 0
+        assert main(["sensitivity", *common, "--trajectories", "4",
+                     "--out", str(tmp_path / "sens")]) == 0
+
     def test_wrong_data_for_split_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run5")
         other = tmp_path / "other.csv"
@@ -203,6 +238,19 @@ class TestExplain:
         assert main(["explain", "--model", str(model), "--data", small_csv,
                      "--index", "99999", "--out", str(tmp_path / "x")]) == 3
 
+    def test_fresh_process_does_not_import_numpy_ma(self, small_csv, tmp_path):
+        """np.quantile and a plain np.unique import numpy.ma (~15 ms in a
+        fresh process); an unstratified model's explain needs neither."""
+        model = run_train(small_csv, tmp_path / "run")
+        argv = ["explain", "--model", str(model), "--data", small_csv, "--index", "0",
+                "--num-samples", "50", "--out", str(tmp_path / "exp")]
+        code = f"import sys; from thyrec.cli import main; main({argv!r}); " \
+               "print('numpy.ma' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "False"
+
 
 class TestSensitivity:
     def test_tables_and_ranking(self, small_csv, tmp_path):
@@ -230,6 +278,101 @@ class TestSensitivity:
                          "--trajectories", "6", "--out", str(out), "--seed", "4"]) == 0
             blobs.append((out / "sensitivity.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _read_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
+def _write_rows(rows: list[list[str]]) -> bytes:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def _cells(fn):
+    """A mutation of the parsed table: fn(rows, rng) edits rows in place."""
+    def mutation(raw: bytes, rng) -> bytes:
+        rows = _read_rows(raw.decode())
+        fn(rows, rng)
+        return _write_rows(rows)
+    return mutation
+
+
+def _row(rows, rng) -> list[str]:
+    return rows[int(rng.integers(1, len(rows)))]
+
+
+def _insert(raw: bytes, rng, chunk: bytes) -> bytes:
+    at = int(rng.integers(0, len(raw)))
+    return raw[:at] + chunk + raw[at:]
+
+
+def _set_feature(rows, rng, value, numeric: bool) -> None:
+    j = 0 if numeric else int(rng.integers(1, len(rows[0]) - 1))    # Age is column 0
+    _row(rows, rng)[j] = value
+
+
+def _one_class(rows, rng) -> None:
+    keep = ("No", "Yes")[int(rng.integers(2))]
+    rows[1:] = [row for row in rows[1:] if row[-1] == keep]
+
+
+def _duplicate_name(rows, rng) -> None:
+    i, j = rng.choice(len(rows[0]) - 1, size=2, replace=False)
+    rows[0][i] = rows[0][j]
+
+
+def _truncate(raw: bytes, rng) -> bytes:
+    start = raw.rstrip(b"\n").rfind(b"\n") + 1
+    return raw[:int(rng.integers(start + 1, len(raw)))]
+
+
+# name -> (mutation, exit of train, exit of evaluate --partition all with the
+# clean model); None where the outcome depends on where the mutation lands
+CSV_MUTATIONS = {
+    "drop-cell": (_cells(lambda rows, rng: _row(rows, rng).pop()), 3, 3),
+    "add-cell": (_cells(lambda rows, rng: _row(rows, rng).append("x")), 3, 3),
+    "blank-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "", True)), 0, 3),
+    "nan-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "nan", True)), 0, 3),
+    "inf-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "inf", True)), 0, 3),
+    "unknown-category": (_cells(lambda rows, rng: _set_feature(rows, rng, "??", False)),
+                         0, 3),
+    "third-class": (_cells(lambda rows, rng: _row(rows, rng).__setitem__(-1, "Maybe")),
+                    3, 3),
+    "one-class": (_cells(_one_class), 3, 0),
+    "duplicate-name": (_cells(_duplicate_name), 3, 3),
+    "not-utf8": (lambda raw, rng: _insert(raw, rng, b"\xff"), 3, 3),
+    "nul-byte": (lambda raw, rng: _insert(raw, rng, b"\x00"), None, None),
+    "stray-quote": (lambda raw, rng: _insert(raw, rng, b'"'), None, None),
+    "truncated-last-line": (_truncate, None, None),
+}
+
+
+class TestCsvFuzz:
+    """Seeded mutations of a clean 120-row CSV through train and through
+    evaluate --partition all: each ends with its expected exit (0 or 3 where
+    it depends on the spot), and exit 3 prints exactly one stderr line."""
+
+    def test_mutated_csv(self, small_csv, tmp_path, capsys):
+        model = run_train(small_csv, tmp_path / "clean", epochs=1)
+        clean = Path(small_csv).read_bytes()
+        assert _write_rows(_read_rows(clean.decode())) == clean
+        rng = np.random.default_rng(404)
+        path = tmp_path / "fuzz.csv"
+        for trial in range(2):
+            for name, (mutation, want_train, want_eval) in CSV_MUTATIONS.items():
+                path.write_bytes(mutation(clean, rng))
+                capsys.readouterr()
+                for argv, want in (
+                        (["train", "--epochs", "1", "--out", str(tmp_path / "t")], want_train),
+                        (["evaluate", "--model", str(model), "--partition", "all"],
+                         want_eval)):
+                    code = main([*argv, "--data", str(path)])
+                    err = capsys.readouterr().err.splitlines()
+                    case = (name, trial, argv[0], code, err)
+                    assert code in ((0, 3) if want is None else (want,)), case
+                    assert len(err) == (1 if code == 3 else 0), case
 
 
 class TestUsage:

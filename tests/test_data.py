@@ -5,8 +5,8 @@ import pytest
 
 from thyrec.data import (CATEGORICAL, NUMERIC, DegenerateSplitError,
                          EmptyDatasetError, MissingFileError, RaggedRowError,
-                         SchemaMismatchError, TargetNotBinaryError, apply_scaler,
-                         build_schema, decode_category, encode_with_schema,
+                         SchemaMismatchError, TargetNotBinaryError, _numbers,
+                         apply_scaler, build_schema, decode_category, encode_with_schema,
                          fit_scaler, label_encode, load_csv, split, split_digest,
                          stratified_split)
 
@@ -110,6 +110,34 @@ class TestLabelEncode:
         schema = build_schema(["G", "R"], [["F", "a"], ["M", "b"]])
         with pytest.raises(SchemaMismatchError):
             encode_with_schema([["X"]], ["a"], schema)
+
+    def test_short_row_rejected(self):
+        schema = build_schema(["Age", "G", "R"], [["1", "F", "a"], ["2", "M", "b"]])
+        with pytest.raises(SchemaMismatchError):
+            encode_with_schema([["1", "F"], ["2"]], ["a", "b"], schema)
+        with pytest.raises(SchemaMismatchError):
+            encode_with_schema([["1", "F"]], ["a", "b"], schema)
+
+    def test_unknown_target_rejected(self):
+        schema = build_schema(["G", "R"], [["F", "a"], ["M", "b"]])
+        with pytest.raises(SchemaMismatchError):
+            encode_with_schema([["F"]], ["c"], schema)
+
+    @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "\u0661\u0662", "-0", "1e400",
+                                      "nan", "0x10", ""])
+    def test_numbers_follow_float(self, cell):
+        """Numeric iff Python's float() parses the cell to a finite value,
+        and then to the same value, sign of zero included."""
+        try:
+            expected = float(cell)
+        except ValueError:
+            expected = math.nan
+        got = _numbers([cell])
+        if not math.isfinite(expected):
+            assert got is None
+        else:
+            assert got.tolist() == [expected]
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected)
 
 
 class TestSplit:

@@ -48,6 +48,21 @@ class TestDiscretizer:
         with pytest.raises(ValueError):
             fit_discretizer(np.ones((3, 1)), schema=None)
 
+    def test_edges_bitwise_equal_to_np_quantile(self):
+        """np.quantile is the reference: floats of every scale, integer ages
+        with ties, a mix, and row counts whose quartiles sit on a row."""
+        rng = np.random.default_rng(31)
+        sizes = [4, 5, 8, 9, 13, 17] + rng.integers(4, 400, size=200).tolist()
+        for n in sizes:
+            X = np.column_stack([
+                rng.normal(size=n) * 10.0 ** rng.integers(-6, 7),
+                rng.integers(15, 90, size=n),
+                np.where(rng.random(n) < 0.5, rng.normal(size=n), rng.integers(0, 3, size=n)),
+            ]).astype(np.float64)
+            for j, edges in enumerate(fit_discretizer(X, schema=None)):
+                expected = np.quantile(X[:, j], [0.25, 0.5, 0.75])
+                assert edges.tobytes() == expected.tobytes(), (n, j)
+
 
 class TestSamplePerturbations:
     def setup_method(self):
@@ -254,6 +269,19 @@ class TestExplain:
         exp = explain(sigmoid_3x1_minus_2x2, X[2], X, config)
         assert exp.surrogate_prediction == pytest.approx(
             exp.intercept + sum(w for _, w in exp.feature_weights), abs=1e-12)
+
+    def test_surrogate_prediction_ignores_num_features(self):
+        """The surrogate evaluated at the instance (an all-ones row), not the
+        sum of the reported top-k weights."""
+        X = np.random.default_rng(8).normal(size=(200, 16))
+        w = np.linspace(-1.0, 1.0, 16)
+        exps = [explain(lambda Z: 1.0 / (1.0 + np.exp(-Z @ w)), X[3], X,
+                        LimeConfig(num_samples=500, num_features=k, seed=4))
+                for k in (5, 16)]
+        assert len(exps[0].feature_weights) == 5
+        assert exps[0].surrogate_prediction == exps[1].surrogate_prediction
+        assert exps[0].surrogate_prediction == pytest.approx(
+            exps[1].intercept + sum(w for _, w in exps[1].feature_weights), abs=1e-12)
 
     def test_descriptors_use_schema_names(self):
         rng = np.random.default_rng(6)

@@ -168,13 +168,18 @@ class TestErrors:
         (("schema", "features", 0, "vocab"), ["a", "b"]),
         (("split", "stratified"), "no"),
         (("schema", "target_name"), 7),
+        (("schema", "target_vocab"), ["Yes", "No"]),
+        (("schema", "features", 1, "vocab"), ["c", "b", "a"]),
+        (("schema", "features", 1, "vocab"), ["a", "b", "c", "a"]),
+        (("train_config", "validation_source"), "foo"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
             "target-vocab-repeated", "split-ratio-2", "split-seed-string",
             "final-metrics-list", "seed-string", "epochs-bool", "val-source-int",
             "tp-string", "accuracy-string", "dropout-rate-string", "weight-bool",
-            "numeric-vocab", "stratified-string", "target-name-int"])
+            "numeric-vocab", "stratified-string", "target-name-int",
+            "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo"])
     def test_malformed_value(self, tmp_path, keys, value):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
