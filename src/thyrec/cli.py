@@ -41,6 +41,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _quote(name: str) -> str:
+    """A CSV cell holding name, always quoted, embedded quotes doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -197,7 +202,7 @@ def cmd_explain(args) -> int:
                             for f, w in result.feature_weights],
     })
     bars = ["feature,weight"]
-    bars += [f"\"{f}\",{_fmt(w)}" for f, w in result.feature_weights]
+    bars += [f"{_quote(f)},{_fmt(w)}" for f, w in result.feature_weights]
     _write(out / "explanation_bars.csv", "\n".join(bars) + "\n")
 
     p0, p1 = result.class_probabilities
@@ -222,11 +227,11 @@ def cmd_sensitivity(args) -> int:
     out = Path(args.out)
     table = ["feature,mu,mu_star,sigma"]
     for j, name in enumerate(result.feature_names):
-        table.append(f"\"{name}\",{_fmt(result.mu[j])},{_fmt(result.mu_star[j])},"
+        table.append(f"{_quote(name)},{_fmt(result.mu[j])},{_fmt(result.mu_star[j])},"
                      f"{_fmt(result.sigma[j])}")
     _write(out / "sensitivity.csv", "\n".join(table) + "\n")
     scatter = ["feature,mu_star,sigma"]
-    scatter += [f"\"{name}\",{_fmt(result.mu_star[j])},{_fmt(result.sigma[j])}"
+    scatter += [f"{_quote(name)},{_fmt(result.mu_star[j])},{_fmt(result.sigma[j])}"
                 for j, name in enumerate(result.feature_names)]
     _write(out / "sensitivity_scatter.csv", "\n".join(scatter) + "\n")
     _write_json(out / "sensitivity.json", {

@@ -6,9 +6,10 @@ an entry is 1 iff the perturbed sample falls in the same quartile bin
 A kernel-weighted ridge regression fit to the black box's outputs on those
 perturbations yields per-feature contribution weights.
 
-Model-space values for non-matching draws are real training values sampled
-from the drawn bin/category, so perturbed rows always lie on the training
-manifold (no Gaussian resampling of encoded categoricals).
+Each perturbed cell is a training value drawn uniformly and independently,
+so perturbed rows lie on the training manifold; a draw in the instance's
+bin keeps the instance's value. Row 0 is the instance itself, and the
+model's output on it is the reported P(class=1).
 """
 
 from __future__ import annotations
@@ -54,16 +55,10 @@ def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):
 
 
 @dataclass
-class FeatureBins:
-    keys: np.ndarray      # bin keys observed in training, ascending
-    freqs: np.ndarray     # empirical probability per key
-    values: list[np.ndarray]  # training model-space values per key
-
-
-@dataclass
 class PerturbationStats:
     edges: list[np.ndarray | None]   # from fit_discretizer
-    bins: list[FeatureBins]
+    X_train: np.ndarray              # (n, d) training rows, model space
+    codes: np.ndarray                # (n, d) bin code of every training cell
 
 
 @dataclass
@@ -105,16 +100,11 @@ def fit_discretizer(X_train: np.ndarray,
 
 
 def build_stats(X_train: np.ndarray, edges: list[np.ndarray | None]) -> PerturbationStats:
-    """Per-feature empirical bin distribution and the training values in
-    each bin, in row order, used to draw perturbations."""
+    """The training rows and the bin code of each of their cells, from which
+    perturbations are drawn."""
     X_train = np.asarray(X_train, dtype=np.float64)
-    bins: list[FeatureBins] = []
-    for j, col in enumerate(X_train.T):
-        keys, inverse, counts = np.unique(bin_codes(edges[j], col), return_inverse=True,
-                                          return_counts=True)
-        bins.append(FeatureBins(keys=keys, freqs=counts / counts.sum(),
-                                values=[col[inverse == k] for k in range(len(keys))]))
-    return PerturbationStats(edges=edges, bins=bins)
+    codes = np.column_stack([bin_codes(e, col) for e, col in zip(edges, X_train.T)])
+    return PerturbationStats(edges=edges, X_train=X_train, codes=codes)
 
 
 def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
@@ -123,30 +113,19 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
 
     Returns (Z, Z_model): Z is the n x d binary interpretable matrix whose
     first row is the instance itself (all ones); Z_model holds the matching
-    model-space rows. For every non-instance row and feature, a bin is drawn
-    from the training empirical distribution; on a match the model value is
-    the instance's own, otherwise a training value from the drawn bin.
+    model-space rows. Every other cell takes the value of an independently
+    drawn training row; where that value's bin matches the instance's, Z is 1
+    and the model value is the instance's own, otherwise Z is 0.
     """
     if n < 2:
         raise ValueError("need n >= 2 perturbations")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = instance.shape[0]
-    Z = np.ones((n, d))
-    Zm = np.tile(instance, (n, 1))
-    for j in range(d):
-        fb = stats.bins[j]
-        inst_key = bin_codes(stats.edges[j], instance[j])
-        draws = rng.choice(len(fb.keys), size=n - 1, p=fb.freqs)
-        for k, key in enumerate(fb.keys):
-            if key == inst_key:
-                continue
-            rows = np.flatnonzero(draws == k) + 1
-            if rows.size == 0:
-                continue
-            Z[rows, j] = 0.0
-            vals = fb.values[k]
-            Zm[rows, j] = vals[rng.integers(0, len(vals), size=rows.size)]
-    return Z, Zm
+    inst_codes = [bin_codes(e, v) for e, v in zip(stats.edges, instance)]
+    rows, cols = rng.integers(0, len(stats.codes), size=(n - 1, d)), np.arange(d)
+    match = np.vstack([np.ones(d, dtype=bool), stats.codes[rows, cols] == inst_codes])
+    drawn = np.vstack([instance, stats.X_train[rows, cols]])
+    return match.astype(np.float64), np.where(match, instance, drawn)
 
 
 def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray | float:
@@ -229,12 +208,12 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     width = config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
     distance = np.sqrt(np.square(1.0 - Z).sum(axis=1))
     weights = kernel_weight(distance, width)
-    targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()
+    targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()   # row 0: the instance
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)
     order = np.argsort(-np.abs(coefs), kind="stable")
     feature_weights = [(_descriptor(j, instance, edges[j], schema, scaler), float(coefs[j]))
                        for j in order[:config.num_features]]
-    p1 = float(np.asarray(predict_fn(instance[None, :])).ravel()[0])
+    p1 = float(targets[0])
     return Explanation(
         instance_index=instance_index,
         class_probabilities=(1.0 - p1, p1),

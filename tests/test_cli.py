@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import thyrec
-from synth import write_csv
+from synth import generate_rows, write_csv
 from test_persist import mutate
 from thyrec import data
 from thyrec.cli import main
@@ -238,18 +238,26 @@ class TestExplain:
         assert main(["explain", "--model", str(model), "--data", small_csv,
                      "--index", "99999", "--out", str(tmp_path / "x")]) == 3
 
-    def test_fresh_process_does_not_import_numpy_ma(self, small_csv, tmp_path):
-        """np.quantile and a plain np.unique import numpy.ma (~15 ms in a
-        fresh process); an unstratified model's explain needs neither."""
-        model = run_train(small_csv, tmp_path / "run")
-        argv = ["explain", "--model", str(model), "--data", small_csv, "--index", "0",
+    @staticmethod
+    def imports_numpy_ma(csv, tmp_path, train_extra=()):
+        model = run_train(csv, tmp_path / "run", extra=train_extra)
+        argv = ["explain", "--model", str(model), "--data", csv, "--index", "0",
                 "--num-samples", "50", "--out", str(tmp_path / "exp")]
         code = f"import sys; from thyrec.cli import main; main({argv!r}); " \
                "print('numpy.ma' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True)
-        assert done.stdout.splitlines()[-1] == "False"
+        return done.stdout.splitlines()[-1] == "True"
+
+    def test_fresh_process_does_not_import_numpy_ma(self, small_csv, tmp_path):
+        """np.quantile and a plain np.unique import numpy.ma (~15 ms in a
+        fresh process); explain needs neither."""
+        assert not self.imports_numpy_ma(small_csv, tmp_path)
+
+    def test_fresh_process_stratified_does_not_import_numpy_ma(self, small_csv, tmp_path):
+        """Recovering a stratified split takes its classes without numpy.ma."""
+        assert not self.imports_numpy_ma(small_csv, tmp_path, ["--stratify"])
 
 
 class TestSensitivity:
@@ -373,6 +381,33 @@ class TestCsvFuzz:
                     case = (name, trial, argv[0], code, err)
                     assert code in ((0, 3) if want is None else (want,)), case
                     assert len(err) == (1 if code == 3 else 0), case
+
+
+class TestQuotedNames:
+    def test_csv_outputs_read_back(self, tmp_path):
+        """Column names holding quotes and commas come back whole from every
+        CSV the commands write."""
+        header, rows = generate_rows(n=383, seed=3)
+        header[0], header[1] = 'Age "years"', 'Gender "M/F", self-reported'
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(_write_rows([header] + rows))
+        model = run_train(str(path), tmp_path / "run")
+        common = ["--model", str(model), "--data", str(path), "--seed", "2"]
+        assert main(["explain", *common, "--index", "0", "--num-features", "16",
+                     "--num-samples", "200", "--out", str(tmp_path / "exp")]) == 0
+        assert main(["sensitivity", *common, "--trajectories", "4",
+                     "--out", str(tmp_path / "sens")]) == 0
+        names = header[:-1]
+        bars = _read_rows((tmp_path / "exp" / "explanation_bars.csv").read_text())
+        assert bars[0] == ["feature", "weight"] and len(bars) == 17
+        assert all(len(row) == 2 for row in bars)
+        features = [row[0] for row in bars[1:]]
+        assert sum(f.startswith(names[1] + " = ") for f in features) == 1
+        assert sum(names[0] in f for f in features) == 1
+        for file, width in (("sensitivity.csv", 4), ("sensitivity_scatter.csv", 3)):
+            table = _read_rows((tmp_path / "sens" / file).read_text())
+            assert all(len(row) == width for row in table), file
+            assert sorted(row[0] for row in table[1:]) == sorted(names), file
 
 
 class TestUsage:

@@ -60,28 +60,28 @@ class TestLoadCsv:
 class TestBuildSchema:
     def test_numeric_iff_all_cells_parse(self):
         schema = build_schema(["Age", "Code", "Recurred"],
-                              [["34", "x1", "No"], ["51", "7", "Yes"]])
+                              [["34", "x1"], ["51", "7"]], ["No", "Yes"])
         assert schema.features[0].kind == NUMERIC
         assert schema.features[1].kind == CATEGORICAL
 
     def test_vocab_sorted(self):
         schema = build_schema(["Gender", "Recurred"],
-                              [["M", "No"], ["F", "Yes"], ["M", "No"]])
+                              [["M"], ["F"], ["M"]], ["No", "Yes", "No"])
         assert schema.features[0].vocab == ("F", "M")
 
     def test_target_vocab_and_positive_class(self):
-        schema = build_schema(["Age", "Recurred"], [["1", "Yes"], ["2", "No"]])
+        schema = build_schema(["Age", "Recurred"], [["1"], ["2"]], ["Yes", "No"])
         assert schema.target_vocab == ("No", "Yes")
         assert schema.positive_class == "Yes"
 
     def test_target_not_binary(self):
         with pytest.raises(TargetNotBinaryError):
-            build_schema(["Age", "R"], [["1", "a"], ["2", "b"], ["3", "c"]])
+            build_schema(["Age", "R"], [["1"], ["2"], ["3"]], ["a", "b", "c"])
         with pytest.raises(TargetNotBinaryError):
-            build_schema(["Age", "R"], [["1", "a"], ["2", "a"]])
+            build_schema(["Age", "R"], [["1"], ["2"]], ["a", "a"])
 
     def test_nan_and_inf_cells_are_categorical(self):
-        schema = build_schema(["V", "R"], [["nan", "a"], ["inf", "b"]])
+        schema = build_schema(["V", "R"], [["nan"], ["inf"]], ["a", "b"])
         assert schema.features[0].kind == CATEGORICAL
 
 
@@ -92,8 +92,8 @@ class TestLabelEncode:
         assert enc.y.tolist() == [0, 1, 0]
 
     def test_three_level_vocab(self):
-        schema = build_schema(["Risk", "R"],
-                              [["High", "a"], ["Intermediate", "a"], ["Low", "b"]])
+        schema = build_schema(["Risk", "R"], [["High"], ["Intermediate"], ["Low"]],
+                              ["a", "a", "b"])
         enc = encode_with_schema([["Low"], ["High"]], ["a", "b"], schema)
         assert enc.X[:, 0].tolist() == [2.0, 0.0]
 
@@ -107,19 +107,19 @@ class TestLabelEncode:
                 assert decode_category(ds.schema, j, enc.X[i, j]) == ds.rows[i][j]
 
     def test_unseen_category_rejected(self):
-        schema = build_schema(["G", "R"], [["F", "a"], ["M", "b"]])
+        schema = build_schema(["G", "R"], [["F"], ["M"]], ["a", "b"])
         with pytest.raises(SchemaMismatchError):
             encode_with_schema([["X"]], ["a"], schema)
 
     def test_short_row_rejected(self):
-        schema = build_schema(["Age", "G", "R"], [["1", "F", "a"], ["2", "M", "b"]])
+        schema = build_schema(["Age", "G", "R"], [["1", "F"], ["2", "M"]], ["a", "b"])
         with pytest.raises(SchemaMismatchError):
             encode_with_schema([["1", "F"], ["2"]], ["a", "b"], schema)
         with pytest.raises(SchemaMismatchError):
             encode_with_schema([["1", "F"]], ["a", "b"], schema)
 
     def test_unknown_target_rejected(self):
-        schema = build_schema(["G", "R"], [["F", "a"], ["M", "b"]])
+        schema = build_schema(["G", "R"], [["F"], ["M"]], ["a", "b"])
         with pytest.raises(SchemaMismatchError):
             encode_with_schema([["F"]], ["c"], schema)
 

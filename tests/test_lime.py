@@ -101,7 +101,7 @@ class TestSamplePerturbations:
 
 
 class TestBuildStats:
-    def test_bins_in_key_and_row_order(self):
+    def test_codes_on_quartile_edges(self):
         # quartiles of 1..9 with repeats are exactly 3, 5 and 7, which the
         # column also holds, so those values must land in the lower bin
         num = np.array([5.0, 1.0, 3.0, 9.0, 7.0, 3.0, 2.0, 5.0, 8.0])
@@ -112,15 +112,9 @@ class TestBuildStats:
         assert edges[0].tolist() == [3.0, 5.0, 7.0]
         stats = build_stats(X, edges)
         assert stats.edges is edges
-        numeric, categorical = stats.bins
-        assert numeric.keys.tolist() == [0, 1, 2, 3]
-        assert numeric.freqs.tolist() == [4 / 9, 2 / 9, 1 / 9, 2 / 9]
-        assert [v.tolist() for v in numeric.values] == \
-            [[1.0, 3.0, 3.0, 2.0], [5.0, 5.0], [7.0], [9.0, 8.0]]
-        assert categorical.keys.tolist() == [0.0, 1.0, 2.0]
-        assert categorical.freqs.tolist() == [3 / 9, 2 / 9, 4 / 9]
-        assert [v.tolist() for v in categorical.values] == \
-            [[0.0, 0.0, 0.0], [1.0, 1.0], [2.0, 2.0, 2.0, 2.0]]
+        assert np.array_equal(stats.X_train, X)
+        assert stats.codes[:, 0].tolist() == [1, 0, 0, 3, 2, 0, 0, 1, 3]
+        assert stats.codes[:, 1].tolist() == cat.tolist()
 
     def test_matches_per_cell_reference(self):
         rng = np.random.default_rng(3)
@@ -129,13 +123,81 @@ class TestBuildStats:
                              rng.integers(0, 3, size=200) * 0.7 - 0.4])
         edges = fit_discretizer(X, toy_schema([("numeric", ()), ("numeric", ()),
                                                (CATEGORICAL, ("a", "b", "c"))]))
-        for j, fb in enumerate(build_stats(X, edges).bins):
-            codes = [bin_codes(edges[j], v) for v in X[:, j]]
-            keys = sorted(set(codes))
-            assert fb.keys.tolist() == keys
-            assert fb.freqs.tolist() == [codes.count(k) / len(codes) for k in keys]
-            for k, values in zip(keys, fb.values):
-                assert np.array_equal(values, X[[c == k for c in codes], j])
+        codes = build_stats(X, edges).codes
+        assert codes.shape == X.shape
+        for (i, j), code in np.ndenumerate(codes):
+            assert code == bin_codes(edges[j], X[i, j])
+
+
+def two_stage_sampler(instance, n, X, edges, rng):
+    """The sampler this module used before drawing single training values:
+    per feature, a bin drawn with its training frequency, then on a
+    non-matching bin a training value drawn uniformly from inside it."""
+    Z = np.ones((n, len(instance)))
+    Zm = np.tile(instance, (n, 1))
+    for j, col in enumerate(X.T):
+        keys, inverse, counts = np.unique(bin_codes(edges[j], col), return_inverse=True,
+                                          return_counts=True)
+        draws = rng.choice(len(keys), size=n - 1, p=counts / counts.sum())
+        for k, key in enumerate(keys):
+            rows = np.flatnonzero(draws == k) + 1
+            if key == bin_codes(edges[j], instance[j]) or rows.size == 0:
+                continue
+            Z[rows, j] = 0.0
+            vals = col[inverse == k]
+            Zm[rows, j] = vals[rng.integers(0, len(vals), size=rows.size)]
+    return Z, Zm
+
+
+class TestSamplerDistribution:
+    """Each perturbed cell is (Z, Zm) = (1, the instance's value) with the
+    training share of the instance's bin, and (0, v) with the training share
+    of v for every v outside that bin."""
+
+    N = 20000
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.X = np.column_stack([rng.integers(0, 6, size=60).astype(float),
+                                  rng.normal(size=60),
+                                  rng.integers(0, 3, size=60).astype(float)])
+        schema = toy_schema([("numeric", ()), ("numeric", ()),
+                             (CATEGORICAL, ("a", "b", "c"))])
+        self.edges = fit_discretizer(self.X, schema)
+
+    def exact(self, instance, j):
+        col = self.X[:, j]
+        codes = bin_codes(self.edges[j], col)
+        same = codes == bin_codes(self.edges[j], instance[j])
+        probs = {(1.0, instance[j]): same.mean()}
+        for v in np.unique(col[~same]):
+            probs[(0.0, v)] = np.mean(col == v)
+        return probs
+
+    @pytest.mark.parametrize("two_stage", [False, True], ids=["one-stage", "two-stage"])
+    @pytest.mark.parametrize("row", [0, 5, 11])
+    def test_cell_frequencies_match_exact_probabilities(self, two_stage, row):
+        instance, rng = self.X[row], np.random.default_rng(row + 2)
+        if two_stage:
+            Z, Zm = two_stage_sampler(instance, self.N + 1, self.X, self.edges, rng)
+        else:
+            Z, Zm = sample_perturbations(instance, self.N + 1,
+                                         build_stats(self.X, self.edges), rng)
+        def within(freq, p):
+            return abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / self.N)
+
+        match = []
+        for j in range(self.X.shape[1]):
+            probs = self.exact(instance, j)
+            pairs = list(zip(Z[1:, j].tolist(), Zm[1:, j].tolist()))
+            assert set(pairs) <= set(probs), j
+            for pair, p in probs.items():
+                assert within(pairs.count(pair) / self.N, p), (j, pair)
+            match.append(probs[(1.0, instance[j])])
+        # cells of one sample are drawn independently of each other
+        for j, k in [(0, 1), (0, 2), (1, 2)]:
+            both = np.mean((Z[1:, j] == 1.0) & (Z[1:, k] == 1.0))
+            assert within(both, match[j] * match[k]), (j, k)
 
 
 class TestKernel:
@@ -282,6 +344,21 @@ class TestExplain:
         assert exps[0].surrogate_prediction == exps[1].surrogate_prediction
         assert exps[0].surrogate_prediction == pytest.approx(
             exps[1].intercept + sum(w for _, w in exps[1].feature_weights), abs=1e-12)
+
+    def test_calls_model_once(self):
+        """P(class=1) is the model's output on row 0 of the perturbation
+        batch, which is the instance itself."""
+        X = np.random.default_rng(9).normal(size=(100, 3))
+        calls = []
+
+        def model(Z):
+            calls.append(len(Z))
+            return sigmoid_3x1_minus_2x2(Z)
+
+        exp = explain(model, X[4], X, LimeConfig(num_samples=300, seed=0))
+        assert calls == [300]
+        p1 = sigmoid_3x1_minus_2x2(X[4][None, :])[0]
+        assert exp.class_probabilities == (1.0 - p1, p1)
 
     def test_descriptors_use_schema_names(self):
         rng = np.random.default_rng(6)
