@@ -4,7 +4,9 @@ Explicit forward/backward passes over ReLU hidden layers with inverted
 dropout and a sigmoid output unit, trained by mini-batch Adam on clamped
 binary cross-entropy. Everything is deterministic given (seed, data, config):
 shuffles and dropout masks are drawn from a single seeded generator in a
-fixed order.
+fixed order. Every weight and bias is a view into one flat vector owned by
+the MLP, so Adam updates the whole network at once; the forward pass works
+in place and caches only each layer's input.
 """
 
 from __future__ import annotations
@@ -31,17 +33,34 @@ class Layer:
     activation: str        # RELU for hidden layers, SIGMOID for the output
 
 
+def _param_views(flat: np.ndarray, layers: list[Layer]) -> list[np.ndarray]:
+    """Views of `flat` shaped [W0, b0, W1, b1, ...] like `layers`."""
+    views, start = [], 0
+    for layer in layers:
+        for p in (layer.W, layer.b):
+            views.append(flat[start:start + p.size].reshape(p.shape))
+            start += p.size
+    return views
+
+
 @dataclass
 class MLP:
     layers: list[Layer]
     dropout_rates: list[float]     # one rate per hidden layer
+    flat: np.ndarray = field(init=False, repr=False, compare=False)   # every W and b
+
+    def __post_init__(self):
+        self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
+        views = _param_views(self.flat, self.layers)
+        for layer, W, b in zip(self.layers, views[::2], views[1::2]):
+            layer.W, layer.b = W, b
 
     @property
     def d_in(self) -> int:
         return self.layers[0].W.shape[0]
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...] shared with AdamState."""
+        """Per-layer views [W0, b0, W1, b1, ...] into `flat`."""
         params: list[np.ndarray] = []
         for layer in self.layers:
             params.append(layer.W)
@@ -49,7 +68,7 @@ class MLP:
         return params
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
 
 @dataclass
@@ -68,6 +87,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.batch_size < 1:
@@ -104,9 +127,9 @@ class TrainHistory:
 
 @dataclass
 class ForwardPass:
-    """Cache of one forward pass, consumed by backward()."""
+    """Cache of one forward pass, consumed by backward(). It holds only each
+    layer's input: > 0 exactly where the previous ReLU was active and kept."""
     inputs: list[np.ndarray]          # input fed to each layer
-    pre: list[np.ndarray]             # pre-activation z per layer
     masks: list[np.ndarray | None]    # inverted-dropout mask per hidden layer
     probs: np.ndarray                 # (n,) sigmoid outputs
 
@@ -147,27 +170,27 @@ def forward(mlp: MLP, X: np.ndarray, train: bool = False,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mlp.d_in:
         raise ValueError(f"dimension mismatch: X is {X.shape}, model expects (n, {mlp.d_in})")
-    inputs, pre, masks = [], [], []
+    inputs, masks = [], []
     a = X
     for l, layer in enumerate(mlp.layers):
         inputs.append(a)
-        z = a @ layer.W + layer.b
-        pre.append(z)
+        z = a @ layer.W
+        z += layer.b
         if layer.activation == RELU:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
             rate = mlp.dropout_rates[l]
             if train and rate > 0.0:
                 if rng is None:
                     raise ValueError("train-mode forward with dropout needs an rng")
                 keep = 1.0 - rate
                 mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
+                a *= mask
                 masks.append(mask)
             else:
                 masks.append(None)
         else:
             a = _sigmoid(z)
-    return ForwardPass(inputs=inputs, pre=pre, masks=masks, probs=a[:, 0])
+    return ForwardPass(inputs=inputs, masks=masks, probs=a[:, 0])
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -183,8 +206,9 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
 def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of the clamped-BCE mean, in parameters() order.
 
-    Dropout masks cached by the forward pass are applied identically here;
-    rows where the output probability sits on the clamp contribute zero
+    They are views of one fresh vector laid out like `mlp.flat` (their
+    `.base`). Dropout masks cached by the forward pass are applied identically
+    here; rows where the output probability sits on the clamp contribute zero
     gradient (the clamp is flat there).
     """
     y = np.asarray(y, dtype=np.float64)
@@ -196,17 +220,16 @@ def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> list[np.ndarray]:
     p = cache.probs
     inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
     dz = (np.where(inside, p - y, 0.0) / n)[:, None]
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(mlp.layers))
+    grads = _param_views(np.empty_like(mlp.flat), mlp.layers)
     for l in range(len(mlp.layers) - 1, -1, -1):
         a_in = cache.inputs[l]
-        grads[2 * l] = a_in.T @ dz
-        grads[2 * l + 1] = dz.sum(axis=0)
+        np.matmul(a_in.T, dz, out=grads[2 * l])
+        dz.sum(axis=0, out=grads[2 * l + 1])
         if l > 0:
-            da = dz @ mlp.layers[l].W.T
-            mask = cache.masks[l - 1]
-            if mask is not None:
-                da = da * mask
-            dz = da * (cache.pre[l - 1] > 0.0)
+            dz = dz @ mlp.layers[l].W.T
+            if cache.masks[l - 1] is not None:
+                dz *= cache.masks[l - 1]
+            dz *= a_in > 0.0
     return grads
 
 
@@ -218,7 +241,8 @@ def init_adam(params: list[np.ndarray]) -> AdamState:
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, config: TrainConfig) -> tuple[list[np.ndarray], AdamState]:
     """One Adam update, in place: bias-corrected first/second moments,
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). `train` passes the
+    flat parameter and gradient vectors, so the loop runs once."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("shape mismatch: params/grads/state lengths differ")
     for p, g in zip(params, grads):
@@ -229,11 +253,15 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
+        denom = np.sqrt(np.divide(v, bc2))
+        denom += config.epsilon
+        np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
+        p -= np.divide(step, denom, out=step)
     return params, state
 
 
@@ -277,7 +305,7 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
         train_idx, val_idx = perm[:X.shape[0] - n_val], perm[X.shape[0] - n_val:]
         X, y, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
 
-    params = mlp.parameters()
+    params = [mlp.flat]
     state = init_adam(params)
     history = TrainHistory()
     n = X.shape[0]
@@ -287,7 +315,7 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
             batch = order[start:start + config.batch_size]
             cache = forward(mlp, X[batch], train=True, rng=rng)
             grads = backward(mlp, cache, y[batch])
-            adam_step(params, grads, state, config)
+            adam_step(params, [grads[0].base], state, config)
         p_train = predict_proba(mlp, X)
         history.train_loss.append(bce_loss(p_train, y))
         history.train_accuracy.append(_accuracy(p_train, y))

@@ -14,6 +14,7 @@ from synth import generate_rows, write_csv
 from test_persist import mutate
 from thyrec import data
 from thyrec.cli import main
+from thyrec.neural import predict_proba
 from thyrec.persist import load_model, save_model
 
 
@@ -144,8 +145,10 @@ class TestEvaluate:
         (("scaler", "stds", 0), 0.0),
         (("dropout_rates",), [0.5]),
         (("train_config", "batch_size"), "32"),
+        (("train_config", "beta1"), 1.0),
+        (("train_config", "epsilon"), 0.0),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
-            "dropout-rates-short", "batch-size-string"])
+            "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -408,6 +411,39 @@ class TestQuotedNames:
             table = _read_rows((tmp_path / "sens" / file).read_text())
             assert all(len(row) == width for row in table), file
             assert sorted(row[0] for row in table[1:]) == sorted(names), file
+
+
+class TestDeterminismScope:
+    """The byte-identity promise holds for one machine, numpy build and BLAS
+    core type. Another OpenBLAS core type may move the last bits of the
+    weights in model.json, but the reports must not move and the model's
+    probabilities must agree far below any printed precision."""
+
+    @staticmethod
+    def train_in_subprocess(csv, out, core_type):
+        env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core_type:
+            env["OPENBLAS_CORETYPE"] = core_type
+        subprocess.run([sys.executable, "-m", "thyrec.cli", "train", "--data", csv,
+                        "--seed", "1", "--epochs", "30", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        return load_model(str(out / "model.json"))
+
+    def test_other_core_type_keeps_reports_and_probabilities(self, recurrence_source,
+                                                             tmp_path):
+        csv = str(recurrence_source.path)
+        default = self.train_in_subprocess(csv, tmp_path / "default", None)
+        prescott = self.train_in_subprocess(csv, tmp_path / "prescott", "Prescott")
+        report = "train_report.json"
+        assert (tmp_path / "default" / report).read_bytes() == \
+            (tmp_path / "prescott" / report).read_bytes()
+        dataset = data.load_csv(csv)
+        encoded = data.encode_with_schema(dataset.rows, dataset.targets, default.schema)
+        X = data.apply_scaler(default.scaler, encoded.X)
+        assert X.tobytes() == data.apply_scaler(prescott.scaler, encoded.X).tobytes()
+        gap = np.max(np.abs(predict_proba(default.mlp, X) - predict_proba(prescott.mlp, X)))
+        assert gap <= 1e-9
 
 
 class TestUsage:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from thyrec.neural import (MLP, SIGMOID, Layer, TrainConfig, adam_step, backward,
-                           bce_loss, forward, init_adam, init_mlp, predict_label,
-                           predict_proba, train)
+from thyrec.neural import (BCE_EPS, MLP, RELU, SIGMOID, Layer, TrainConfig, _sigmoid,
+                           adam_step, backward, bce_loss, forward, init_adam, init_mlp,
+                           predict_label, predict_proba, train)
+from thyrec.persist import load_model, save_model
 
 
 def zeroed(mlp):
@@ -137,8 +138,9 @@ def draw_safe_case(seed, d=4, hidden=(8, 5), rows=6):
     X = rng.normal(size=(rows, d))
     y = rng.integers(0, 2, size=rows).astype(np.float64)
     cache = forward(mlp, X)
-    min_abs_z = min(float(np.min(np.abs(z))) for z in cache.pre[:-1])
-    if min_abs_z < 1e-4 or float(np.max(np.abs(cache.pre[-1]))) > 10.0:
+    pre = [a @ layer.W + layer.b for a, layer in zip(cache.inputs, mlp.layers)]
+    min_abs_z = min(float(np.min(np.abs(z))) for z in pre[:-1])
+    if min_abs_z < 1e-4 or float(np.max(np.abs(pre[-1]))) > 10.0:
         return None
     return mlp, X, y
 
@@ -226,6 +228,23 @@ class TestAdam:
             adam_step(params, [np.zeros(3)], init_adam(params), TrainConfig(seed=0))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": float("nan")}, {"beta2": 1.0},
+        {"beta2": -1e-3}, {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": float("nan")}],
+        ids=["beta1-1", "beta1-negative", "beta1-nan", "beta2-1", "beta2-negative",
+             "epsilon-0", "epsilon-negative", "epsilon-nan"])
+    def test_adam_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta1": 0.0, "beta2": 0.0}, {"beta1": 0.999999, "beta2": 0.999999},
+        {"epsilon": 1e-300}], ids=["betas-0", "betas-near-1", "epsilon-tiny"])
+    def test_adam_hyperparameter_edges_accepted(self, kwargs):
+        TrainConfig(**kwargs)
+
+
 def separable_blobs(n=20, seed=0):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -287,3 +306,182 @@ class TestPredict:
     def test_zero_weight_model_all_half(self):
         mlp = zeroed(init_mlp(3, [4], seed=0))
         assert np.all(predict_proba(mlp, np.ones((4, 3))) == 0.5)
+
+
+# Per-array reference: the forward, backward and Adam of the implementation
+# that kept every weight and bias in its own array, a `pre` cache per layer
+# and one Adam pass per array. The flat-vector code must match it bit for bit.
+
+def reference_forward(layers, rates, X, train=False, rng=None):
+    inputs, pre, masks = [], [], []
+    a = X
+    for l, (W, b, activation) in enumerate(layers):
+        inputs.append(a)
+        z = a @ W + b
+        pre.append(z)
+        if activation == RELU:
+            a = np.maximum(z, 0.0)
+            if train and rates[l] > 0.0:
+                keep = 1.0 - rates[l]
+                mask = (rng.random(a.shape) < keep) / keep
+                a = a * mask
+                masks.append(mask)
+            else:
+                masks.append(None)
+        else:
+            a = _sigmoid(z)
+    return inputs, pre, masks, a[:, 0]
+
+
+def reference_backward(layers, cache, y):
+    inputs, pre, masks, p = cache
+    n = y.shape[0]
+    inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
+    dz = (np.where(inside, p - y, 0.0) / n)[:, None]
+    grads = [np.empty(0)] * (2 * len(layers))
+    for l in range(len(layers) - 1, -1, -1):
+        grads[2 * l] = inputs[l].T @ dz
+        grads[2 * l + 1] = dz.sum(axis=0)
+        if l > 0:
+            da = dz @ layers[l][0].T
+            if masks[l - 1] is not None:
+                da = da * masks[l - 1]
+            dz = da * (pre[l - 1] > 0.0)
+    return grads
+
+
+def reference_adam(params, grads, m, v, t, config):
+    b1, b2 = config.beta1, config.beta2
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * g * g
+        p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + config.epsilon)
+
+
+class ReferenceNet:
+    """Independent per-array copies of an MLP's parameters and Adam moments."""
+
+    def __init__(self, mlp):
+        self.layers = [(l.W.copy(), l.b.copy(), l.activation) for l in mlp.layers]
+        self.rates = list(mlp.dropout_rates)
+        self.params = [a for W, b, _ in self.layers for a in (W, b)]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.t = 0
+
+    def step(self, X, y, rng, config):
+        cache = reference_forward(self.layers, self.rates, X, True, rng)
+        grads = reference_backward(self.layers, cache, y)
+        self.t += 1
+        reference_adam(self.params, grads, self.m, self.v, self.t, config)
+        return grads
+
+    def predict(self, X):
+        return reference_forward(self.layers, self.rates, X)[3]
+
+
+def reference_train(net, X, y, config):
+    """The train loop over ReferenceNet, validation rows carved from the
+    training set; returns the (train_loss, val_loss) lists."""
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(X.shape[0])
+    n_val = min(int(math.floor(config.validation_fraction * X.shape[0] + 0.5)),
+                X.shape[0] - 1)
+    keep, val = perm[:X.shape[0] - n_val], perm[X.shape[0] - n_val:]
+    X, y, X_val, y_val = X[keep], y[keep], X[val], y[val]
+    train_loss, val_loss = [], []
+    for _ in range(config.epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            batch = order[start:start + config.batch_size]
+            net.step(X[batch], y[batch].astype(np.float64), rng, config)
+        train_loss.append(bce_loss(net.predict(X), y))
+        val_loss.append(bce_loss(net.predict(X_val), y_val))
+    return train_loss, val_loss
+
+
+def same_bytes(arrays, reference):
+    return len(arrays) == len(reference) and all(
+        a.shape == r.shape and a.tobytes() == r.tobytes() for a, r in zip(arrays, reference))
+
+
+def paper_net(seed):
+    return init_mlp(16, [128, 64, 32], seed=seed, dropout=0.5)
+
+
+class TestFlatParameters:
+    def test_views_share_one_vector(self):
+        mlp = paper_net(0)
+        assert mlp.flat.dtype == np.float64 and mlp.flat.size == mlp.num_parameters()
+        assert all(np.shares_memory(p, mlp.flat) for p in mlp.parameters())
+        assert np.array_equal(np.concatenate([p.ravel() for p in mlp.parameters()]), mlp.flat)
+
+    def test_views_survive_persist_round_trip(self, tmp_path):
+        from test_persist import make_artifact
+        path = tmp_path / "m.json"
+        artifact = make_artifact()
+        save_model(artifact, str(path))
+        loaded = load_model(str(path)).mlp
+        assert all(np.shares_memory(p, loaded.flat) for p in loaded.parameters())
+        assert same_bytes(loaded.parameters(), artifact.mlp.parameters())
+
+    def test_hand_built_layers_become_views(self):
+        W = np.arange(6, dtype=np.int64).reshape(3, 2)
+        mlp = MLP(layers=[Layer(W, np.zeros(2), RELU),
+                          Layer(np.ones((2, 1)), np.zeros(1), SIGMOID)], dropout_rates=[0.0])
+        assert mlp.flat.dtype == np.float64
+        assert mlp.layers[0].W.tolist() == W.tolist()
+        mlp.flat[:] = 0.0
+        assert np.all(predict_proba(mlp, np.ones((2, 3))) == 0.5)
+
+    def test_gradients_are_views_of_fresh_vectors(self):
+        mlp = paper_net(1)
+        X = np.random.default_rng(1).normal(size=(8, 16))
+        y = np.ones(8)
+        first = backward(mlp, forward(mlp, X), y)
+        second = backward(mlp, forward(mlp, X), y)
+        flat = first[0].base
+        assert flat.shape == mlp.flat.shape and flat is not second[0].base
+        assert all(g.base is flat for g in first)
+        assert same_bytes(first, second)
+
+
+class TestMatchesPerArrayReference:
+    @pytest.mark.parametrize("rows", [17, 245, 5001])
+    def test_predict(self, rows):
+        mlp = paper_net(2)
+        X = np.random.default_rng(rows).normal(size=(rows, 16))
+        assert predict_proba(mlp, X).tobytes() == ReferenceNet(mlp).predict(X).tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dropout_train_steps(self, seed):
+        mlp = paper_net(seed)
+        ref = ReferenceNet(mlp)
+        config = TrainConfig(seed=seed)
+        data = np.random.default_rng(seed + 100)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        params, state = [mlp.flat], init_adam([mlp.flat])
+        for rows in (32, 32, 32, 17, 32, 1):
+            X = data.normal(size=(rows, 16))
+            y = data.integers(0, 2, size=rows).astype(np.float64)
+            grads = backward(mlp, forward(mlp, X, True, rng), y)
+            ref_grads = ref.step(X, y, ref_rng, config)
+            assert same_bytes(grads, ref_grads)
+            adam_step(params, [grads[0].base], state, config)
+            assert same_bytes(mlp.parameters(), ref.params)
+        assert same_bytes(state.m, [np.concatenate([m.ravel() for m in ref.m])])
+
+    def test_short_train_run(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(120, 16))
+        y = (X[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(np.int64)
+        config = TrainConfig(epochs=4, seed=4)
+        mlp = paper_net(4)
+        ref = ReferenceNet(mlp)
+        _, history = train(mlp, X, y, config)
+        train_loss, val_loss = reference_train(ref, X, y, config)
+        assert same_bytes(mlp.parameters(), ref.params)
+        assert history.train_loss == train_loss and history.val_loss == val_loss

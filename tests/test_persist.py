@@ -172,6 +172,8 @@ class TestErrors:
         (("schema", "features", 1, "vocab"), ["c", "b", "a"]),
         (("schema", "features", 1, "vocab"), ["a", "b", "c", "a"]),
         (("train_config", "validation_source"), "foo"),
+        (("train_config", "beta1"), 1.0),
+        (("train_config", "epsilon"), 0.0),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -179,7 +181,8 @@ class TestErrors:
             "final-metrics-list", "seed-string", "epochs-bool", "val-source-int",
             "tp-string", "accuracy-string", "dropout-rate-string", "weight-bool",
             "numeric-vocab", "stratified-string", "target-name-int",
-            "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo"])
+            "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo",
+            "beta1-1", "epsilon-0"])
     def test_malformed_value(self, tmp_path, keys, value):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
