@@ -236,8 +236,9 @@ def cmd_sensitivity(args) -> int:
     _write(out / "sensitivity_scatter.csv", "\n".join(scatter) + "\n")
     _write_json(out / "sensitivity.json", {
         "features": [{"name": name, "mu": result.mu[j], "mu_star": result.mu_star[j],
-                      "sigma": result.sigma[j]}
+                      "sigma": result.sigma[j], "degenerate": bool(result.degenerate[j])}
                      for j, name in enumerate(result.feature_names)],
+        "model_evals": result.model_evals,
         "ranking": result.ranking,
     })
 

@@ -159,14 +159,25 @@ def build_schema(header: list[str], rows: list[list[str]],
     categorical with a sorted deduplicated vocab. The positive target class
     is the lexicographically later of the two target strings.
     """
-    if not rows:
+    return _infer_schema(header, _columns(rows, len(header) - 1), targets)
+
+
+def _columns(rows: list[list[str]], d: int) -> list[tuple[str, ...]]:
+    """The table's cells column by column (d empty columns when there are no
+    rows): the one transpose that schema inference and encoding share."""
+    return list(zip(*rows)) or [()] * d
+
+
+def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
+                  targets: list[str]) -> FeatureSchema:
+    if not targets:
         raise EmptyDatasetError("no data rows")
     names = header[:-1]
     if len(set(names)) != len(names) or any(not n for n in names):
         raise DataError("column names must be unique and non-empty")
     features = [Feature(name, NUMERIC) if _numbers(cells) is not None
                 else Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
-                for name, cells in zip(names, zip(*rows))]
+                for name, cells in zip(names, columns)]
     distinct = sorted(set(targets))
     if len(distinct) != 2:
         raise TargetNotBinaryError(
@@ -203,8 +214,11 @@ def load_csv(path: str) -> Dataset:
 
 def label_encode(dataset: Dataset) -> EncodedDataset:
     """Encode categoricals to their sorted-vocab index, targets to {0, 1}
-    with the positive class = the lexicographically later target string."""
-    return encode_with_schema(dataset.rows, dataset.targets, dataset.schema)
+    with the positive class = the lexicographically later target string.
+    The schema is inferred from, and the cells encoded from, one transpose."""
+    columns = _columns(dataset.rows, len(dataset.header) - 1)
+    schema = _infer_schema(dataset.header, columns, dataset.targets)
+    return _encode_columns(columns, len(dataset.rows), dataset.targets, schema)
 
 
 def encode_with_schema(rows: list[list[str]], targets: list[str],
@@ -215,10 +229,15 @@ def encode_with_schema(rows: list[list[str]], targets: list[str],
     n, d = len(rows), len(schema.features)
     if min(map(len, rows), default=d) < d:
         raise SchemaMismatchError(f"a row has fewer than the schema's {d} feature cells")
+    return _encode_columns(_columns(rows, d), n, targets, schema)
+
+
+def _encode_columns(columns: list[tuple[str, ...]], n: int, targets: list[str],
+                    schema: FeatureSchema) -> EncodedDataset:
+    """Encode n rows, given column by column, against schema."""
     if len(targets) != n:
         raise SchemaMismatchError(f"{n} rows but {len(targets)} targets")
-    columns = list(zip(*rows)) or [()] * d
-    X = np.empty((n, d), dtype=np.float64)
+    X = np.empty((n, len(schema.features)), dtype=np.float64)
     for j, (feat, cells) in enumerate(zip(schema.features, columns)):
         what = f"column {feat.name!r}"
         values = _numbers(cells) if feat.kind == NUMERIC else _codes(feat.vocab, cells, what)

@@ -6,6 +6,11 @@ Each step perturbs exactly one coordinate by the grid step delta; the
 elementary effect is the finite-difference slope of the model output along
 that step. Per feature, mu is the mean effect, mu_star the mean absolute
 effect and sigma the sample standard deviation across trajectories.
+
+A screen draws its random stream in three whole-array calls (every base
+point, every direction, every order) and builds all trajectories with one
+broadcast. The model sees whole trajectories in blocks of at most
+MAX_ROWS_PER_CALL rows, so the default 100 x 17 points are one call.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Rows per model call; a block holds whole trajectories. Bounds the model's
+# activation memory when --trajectories is large.
+MAX_ROWS_PER_CALL = 4096
 
 
 class NonFiniteModelOutputError(ValueError):
@@ -71,6 +80,12 @@ class MorrisResult:
     mu_star: np.ndarray
     sigma: np.ndarray
     ranking: list[str]    # names sorted by mu_star descending, ties by order
+    trajectories: int
+    degenerate: np.ndarray    # per feature: screened at a constant, EE = 0
+
+    @property
+    def model_evals(self) -> int:
+        return self.trajectories * (len(self.feature_names) + 1)
 
 
 def generate_trajectories(d: int, config: MorrisConfig,
@@ -79,24 +94,23 @@ def generate_trajectories(d: int, config: MorrisConfig,
 
     Base points are drawn from the grid {0, 1/(p-1), ..., 1-delta}; each
     trajectory perturbs every coordinate exactly once, by +delta or -delta,
-    in a random order.
+    in a random order. The stream is three whole-array draws, in this order:
+    the (r, d) base levels, the (r, d) directions and the (r, d) orders.
     """
     if d < 1:
         raise ValueError("need at least one feature")
-    p = config.levels
+    r, p = config.trajectories, config.levels
     delta = config.effective_delta
     grid = np.arange(p) / (p - 1)
     allowed = grid[grid <= 1.0 - delta + 1e-12]
-    trajs = np.empty((config.trajectories, d + 1, d))
-    for t in range(config.trajectories):
-        base = rng.choice(allowed, size=d)
-        direction = rng.choice(np.array([-1.0, 1.0]), size=d)
-        order = rng.permutation(d)
-        # a coordinate stepping down starts at base + delta and ends at base;
-        # row k holds the end value of every coordinate among the first k moved
-        moved = np.arange(d + 1)[:, None] > np.argsort(order)
-        trajs[t] = np.where(moved, base + delta * (direction > 0),
-                            base + delta * (direction < 0))
+    base = allowed[rng.integers(0, len(allowed), size=(r, d))]
+    up = rng.integers(0, 2, size=(r, d), dtype=bool)
+    order = rng.permuted(np.broadcast_to(np.arange(d), (r, d)), axis=1)
+    # a coordinate stepping down starts at base + delta and ends at base;
+    # row k holds the end value of every coordinate among the first k moved
+    moved = np.arange(d + 1)[:, None] > np.argsort(order, axis=1)[:, None, :]
+    trajs = np.where(moved, (base + delta * up)[:, None, :],
+                     (base + delta * ~up)[:, None, :])
     return np.clip(trajs, 0.0, 1.0)
 
 
@@ -104,15 +118,18 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
                        delta: float) -> np.ndarray:
     """r x d matrix of elementary effects.
 
-    f maps a batch of model-space rows to a vector of outputs and is called
-    once per trajectory on its d+1 mapped points. The divisor is the signed
-    configured delta, not the recomputed float difference, so exact-linearity
-    identities survive in f64. Degenerate features get EE = 0.
+    f maps a batch of model-space rows to a vector of outputs, one finite
+    value per row. It is called on whole trajectories, as many as fit in
+    MAX_ROWS_PER_CALL rows (at least one), so each row's output does not
+    depend on r. The divisor is the signed configured delta, not the
+    recomputed float difference, so exact-linearity identities survive in
+    f64. Degenerate features get EE = 0.
     """
-    values = np.array([np.asarray(f(ranges.map_unit(unit)), dtype=np.float64).ravel()
-                       for unit in trajectories])
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteModelOutputError("model returned a non-finite output")
+    r, n, d = trajectories.shape
+    points = trajectories.reshape(r * n, d)
+    block = max(1, MAX_ROWS_PER_CALL // n) * n
+    values = np.concatenate([_outputs(f, ranges.map_unit(points[i:i + block]))
+                             for i in range(0, r * n, block)]).reshape(r, n)
     diffs = np.diff(trajectories, axis=1)                # r x d steps x d coordinates
     moved = np.argmax(np.abs(diffs), axis=2)             # coordinate moved at each step
     step = np.take_along_axis(diffs, moved[..., None], axis=2)[..., 0]
@@ -122,9 +139,21 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     return ee
 
 
-def aggregate(ee: np.ndarray, feature_names: list[str]) -> MorrisResult:
+def _outputs(f, X: np.ndarray) -> np.ndarray:
+    """f(X) as a float64 vector with one finite value per row of X."""
+    out = np.asarray(f(X), dtype=np.float64).ravel()
+    if len(out) != len(X):
+        raise ValueError(f"model returned {len(out)} outputs for {len(X)} rows")
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteModelOutputError("model returned a non-finite output")
+    return out
+
+
+def aggregate(ee: np.ndarray, feature_names: list[str],
+              degenerate: np.ndarray | None = None) -> MorrisResult:
     """mu / mu_star / sigma per feature plus the mu_star-descending ranking
-    (ties keep schema order). sigma uses the sample (r-1) denominator."""
+    (ties keep schema order). sigma uses the sample (r-1) denominator.
+    degenerate flags the features screened at a constant (default: none)."""
     ee = np.asarray(ee, dtype=np.float64)
     if ee.shape[0] < 2:
         raise TooFewTrajectoriesError("need at least 2 trajectories to aggregate")
@@ -136,6 +165,9 @@ def aggregate(ee: np.ndarray, feature_names: list[str]) -> MorrisResult:
         feature_names=list(feature_names),
         mu=mu, mu_star=mu_star, sigma=sigma,
         ranking=[feature_names[j] for j in order],
+        trajectories=ee.shape[0],
+        degenerate=(np.zeros(ee.shape[1], dtype=bool) if degenerate is None
+                    else np.asarray(degenerate, dtype=bool)),
     )
 
 
@@ -144,7 +176,7 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
     """Morris screening of predict_fn over the observed feature ranges.
 
     X_train is the training matrix in model space. Total model evaluations:
-    trajectories * (d + 1).
+    trajectories * (d + 1), in one call at the default size.
     """
     X = np.asarray(X_train, dtype=np.float64)
     d = X.shape[1]
@@ -155,4 +187,4 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
     ranges = FeatureRanges.from_data(X)
     trajectories = generate_trajectories(d, config, rng)
     ee = elementary_effects(predict_fn, trajectories, ranges, config.effective_delta)
-    return aggregate(ee, names)
+    return aggregate(ee, names, ranges.degenerate)

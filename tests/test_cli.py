@@ -193,6 +193,24 @@ class TestEvaluate:
         assert main(["sensitivity", *common, "--trajectories", "4",
                      "--out", str(tmp_path / "sens")]) == 0
 
+    def test_model_commands_never_run_schema_inference(self, small_csv, tmp_path,
+                                                        monkeypatch):
+        # label_encode infers its schema without build_schema, from the same
+        # transpose it encodes, so guard the helper both of them use
+        model = run_train(small_csv, tmp_path / "run")
+
+        def refuse(*args):
+            raise RuntimeError("schema inference called")
+        monkeypatch.setattr(data, "_infer_schema", refuse)
+        common = ["--model", str(model), "--data", small_csv]
+        assert main(["evaluate", *common, "--partition", "all"]) == 0
+        assert main(["explain", *common, "--index", "0", "--num-samples", "50",
+                     "--out", str(tmp_path / "exp")]) == 0
+        assert main(["sensitivity", *common, "--trajectories", "4",
+                     "--out", str(tmp_path / "sens")]) == 0
+        with pytest.raises(RuntimeError, match="schema inference called"):
+            data.label_encode(data.load_csv(small_csv))
+
     def test_wrong_data_for_split_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run5")
         other = tmp_path / "other.csv"
@@ -279,6 +297,27 @@ class TestSensitivity:
         ranked = report["ranking"]
         assert sorted(ranked) == sorted(stars)
         assert all(stars[a] >= stars[b] for a, b in zip(ranked, ranked[1:]))
+
+    def test_json_reports_evaluations_and_degenerate_features(self, tmp_path):
+        header, rows = generate_rows(n=120, seed=5)
+        for row in rows:
+            row[0] = "40"                   # Age is constant
+        csv_path = tmp_path / "const.csv"
+        csv_path.write_bytes(_write_rows([header] + rows))
+        model = run_train(str(csv_path), tmp_path / "run")
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--model", str(model), "--data", str(csv_path),
+                     "--trajectories", "8", "--out", str(out), "--seed", "2"]) == 0
+        report = json.loads((out / "sensitivity.json").read_text())
+        assert report["model_evals"] == 8 * (16 + 1)
+        flags = {f["name"]: f["degenerate"] for f in report["features"]}
+        assert all(isinstance(v, bool) for v in flags.values())
+        assert flags["Age"] is True
+        for f in report["features"]:
+            if f["degenerate"]:
+                assert f["mu"] == f["mu_star"] == f["sigma"] == 0.0
+            else:
+                assert f["mu_star"] > 0.0
 
     def test_deterministic_bytes(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from thyrec.morris import (FeatureRanges, MorrisConfig, NonFiniteModelOutputError,
-                           TooFewTrajectoriesError, aggregate, analyze,
-                           elementary_effects, generate_trajectories)
+from thyrec.morris import (MAX_ROWS_PER_CALL, FeatureRanges, MorrisConfig,
+                           NonFiniteModelOutputError, TooFewTrajectoriesError, aggregate,
+                           analyze, elementary_effects, generate_trajectories)
 from thyrec.neural import init_mlp, predict_proba
 
 
@@ -14,33 +14,36 @@ def unit_ranges(d):
 
 
 def loop_trajectories(d, config, rng):
-    """Step-by-step reference for generate_trajectories."""
-    delta = config.effective_delta
+    """Step-by-step reference for generate_trajectories: the same three
+    whole-array draws, then each trajectory built one move at a time."""
+    r, delta = config.trajectories, config.effective_delta
     grid = np.arange(config.levels) / (config.levels - 1)
     allowed = grid[grid <= 1.0 - delta + 1e-12]
-    trajs = np.empty((config.trajectories, d + 1, d))
-    for t in range(config.trajectories):
-        base = rng.choice(allowed, size=d)
-        direction = rng.choice(np.array([-1.0, 1.0]), size=d)
-        order = rng.permutation(d)
-        points = np.tile(base + delta * (direction < 0), (d + 1, 1))
-        for step, j in enumerate(order):
-            points[step + 1:, j] = base[j] + (delta if direction[j] > 0 else 0.0)
+    bases = allowed[rng.integers(0, len(allowed), size=(r, d))]
+    ups = rng.integers(0, 2, size=(r, d), dtype=bool)
+    orders = rng.permuted(np.broadcast_to(np.arange(d), (r, d)), axis=1)
+    trajs = np.empty((r, d + 1, d))
+    for t in range(r):
+        base, up = bases[t], ups[t]
+        points = np.tile(base + delta * ~up, (d + 1, 1))
+        for step, j in enumerate(orders[t]):
+            points[step + 1:, j] = base[j] + (delta if up[j] else 0.0)
         trajs[t] = points
     return np.clip(trajs, 0.0, 1.0)
 
 
 def loop_effects(f, trajectories, ranges, delta):
-    """Step-by-step reference for elementary_effects."""
-    r, _, d = trajectories.shape
+    """Step-by-step reference for elementary_effects, with the model's
+    outputs from one call over every point."""
+    r, n, d = trajectories.shape
+    values = f(ranges.map_unit(trajectories.reshape(r * n, d))).reshape(r, n)
     ee = np.zeros((r, d))
     for t in range(r):
-        values = f(ranges.map_unit(trajectories[t]))
         diffs = np.diff(trajectories[t], axis=0)
         for k in range(d):
             j = int(np.argmax(np.abs(diffs[k])))
             if not ranges.degenerate[j]:
-                ee[t, j] = (values[k + 1] - values[k]) / math.copysign(delta, diffs[k, j])
+                ee[t, j] = (values[t, k + 1] - values[t, k]) / math.copysign(delta, diffs[k, j])
     return ee
 
 
@@ -77,6 +80,27 @@ class TestTrajectories:
                 assert abs(abs(diff[j]) - delta) < 1e-12
                 changed.append(j)
             assert sorted(changed) == list(range(d))   # each coordinate once
+
+    @pytest.mark.parametrize("levels", [4, 6, 8])
+    def test_levels_directions_and_orders_are_uniform(self, levels):
+        # each coordinate starts on every grid level with probability 1/p,
+        # steps up with probability 1/2 and moves at every step with
+        # probability 1/d; counts stay within 5 standard errors
+        r, d = 3000, 5
+        config = MorrisConfig(levels=levels, trajectories=r, seed=levels)
+        trajs = generate_trajectories(d, config, np.random.default_rng(levels))
+
+        def within_5_se(counts, n, prob):
+            se = math.sqrt(n * prob * (1.0 - prob))
+            assert np.all(np.abs(counts - n * prob) <= 5.0 * se), counts
+
+        start = np.rint(trajs[:, 0, :] * (levels - 1)).astype(int)
+        within_5_se(np.bincount(start.ravel(), minlength=levels), r * d, 1.0 / levels)
+        up = trajs[:, -1, :] > trajs[:, 0, :]
+        within_5_se(np.array([up.sum(), (~up).sum()]), r * d, 0.5)
+        step = np.argmax(np.abs(np.diff(trajs, axis=1)), axis=2)   # coordinate per step
+        for j in range(d):
+            within_5_se(np.bincount(np.nonzero(step == j)[1], minlength=d), r, 1.0 / d)
 
     def test_default_delta(self):
         assert MorrisConfig(levels=4).effective_delta == pytest.approx(2.0 / 3.0)
@@ -135,19 +159,43 @@ class TestElementaryEffects:
                                 config.effective_delta)
         assert np.all(ee[:, 1] == 0.0)
 
-    def test_one_call_per_trajectory(self):
-        # batching trajectories into one call moves outputs by about 1 ULP,
-        # which would change sensitivity.csv; each trajectory is its own batch
+    def test_one_model_call(self):
         shapes = []
 
         def counting(X):
             shapes.append(X.shape)
             return X.sum(axis=1)
 
-        config = MorrisConfig(trajectories=7, seed=8)
-        trajs = generate_trajectories(5, config, np.random.default_rng(8))
-        elementary_effects(counting, trajs, unit_ranges(5), config.effective_delta)
-        assert shapes == [(6, 5)] * 7
+        X_train = np.random.default_rng(8).normal(size=(50, 16))
+        analyze(counting, X_train, MorrisConfig(seed=8))
+        assert shapes == [(100 * 17, 16)]
+
+    def test_blocks_of_whole_trajectories(self):
+        rows = []
+
+        def linear(X):
+            return 3.0 * X[:, 0] - 1.5 * X[:, 1] + 0.5 * X[:, 2]
+
+        def counting(X):
+            rows.append(len(X))
+            return linear(X)
+
+        config = MorrisConfig(trajectories=2000, seed=9)
+        trajs = generate_trajectories(5, config, np.random.default_rng(9))
+        ranges = FeatureRanges(lo=np.array([-1.0, 0.0, 2.0, -3.0, 0.5]),
+                               hi=np.array([1.0, 4.0, 2.0, 3.0, 0.7]))
+        ee = elementary_effects(counting, trajs, ranges, config.effective_delta)
+        # 682 trajectories of 6 points fill a block; the last holds the rest
+        assert rows == [4092, 4092, 3816]
+        assert max(rows) <= MAX_ROWS_PER_CALL and all(n % 6 == 0 for n in rows)
+        assert np.array_equal(ee, loop_effects(linear, trajs, ranges, config.effective_delta))
+
+    def test_wrong_output_length_rejected(self):
+        config = MorrisConfig(trajectories=6, seed=4)
+        trajs = generate_trajectories(3, config, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="23 outputs for 24 rows"):
+            elementary_effects(lambda X: X[1:, 0], trajs, unit_ranges(3),
+                               config.effective_delta)
 
     def test_non_finite_output_rejected(self):
         config = MorrisConfig(trajectories=5, seed=4)
@@ -209,6 +257,15 @@ class TestAnalyze:
         config = MorrisConfig(trajectories=25, seed=0)
         analyze(counting, X_train, config)
         assert calls["rows"] == 25 * (6 + 1)
+
+    def test_reports_evaluations_and_degenerate_features(self):
+        X_train = np.random.default_rng(4).normal(size=(30, 4))
+        X_train[:, 2] = 1.5
+        result = analyze(lambda X: X.sum(axis=1), X_train,
+                         MorrisConfig(trajectories=12, seed=4))
+        assert result.model_evals == 12 * 5
+        assert result.degenerate.tolist() == [False, False, True, False]
+        assert result.mu_star[2] == 0.0 and np.all(result.mu_star[[0, 1, 3]] > 0.0)
 
     def test_deterministic(self):
         X_train = np.random.default_rng(1).normal(size=(40, 4))
