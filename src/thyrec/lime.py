@@ -37,12 +37,12 @@ class LimeConfig:
     def __post_init__(self):
         if self.num_samples < 10:
             raise ValueError("num_samples must be >= 10")
-        if self.kernel_width is not None and self.kernel_width <= 0:
+        if self.kernel_width is not None and not self.kernel_width > 0:
             raise ValueError("kernel_width must be > 0")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ValueError("ridge_lambda must be a finite number >= 0")
 
 
 def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):

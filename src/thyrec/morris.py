@@ -9,8 +9,7 @@ effect and sigma the sample standard deviation across trajectories.
 
 A screen draws its random stream in three whole-array calls (every base
 point, every direction, every order) and builds all trajectories with one
-broadcast. The model sees whole trajectories in blocks of at most
-MAX_ROWS_PER_CALL rows, so the default 100 x 17 points are one call.
+broadcast. The model sees every point in one call.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Rows per model call; a block holds whole trajectories. Bounds the model's
-# activation memory when --trajectories is large.
-MAX_ROWS_PER_CALL = 4096
 
 
 class NonFiniteModelOutputError(ValueError):
@@ -119,17 +114,14 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     """r x d matrix of elementary effects.
 
     f maps a batch of model-space rows to a vector of outputs, one finite
-    value per row. It is called on whole trajectories, as many as fit in
-    MAX_ROWS_PER_CALL rows (at least one), so each row's output does not
-    depend on r. The divisor is the signed configured delta, not the
-    recomputed float difference, so exact-linearity identities survive in
-    f64. Degenerate features get EE = 0.
+    value per row. It is called once, on all r * (d + 1) points; bounding
+    its memory is f's business (`neural.predict_proba` works in fixed
+    blocks). The divisor is the signed configured delta, not the recomputed
+    float difference, so exact-linearity identities survive in f64.
+    Degenerate features get EE = 0.
     """
     r, n, d = trajectories.shape
-    points = trajectories.reshape(r * n, d)
-    block = max(1, MAX_ROWS_PER_CALL // n) * n
-    values = np.concatenate([_outputs(f, ranges.map_unit(points[i:i + block]))
-                             for i in range(0, r * n, block)]).reshape(r, n)
+    values = _outputs(f, ranges.map_unit(trajectories.reshape(r * n, d))).reshape(r, n)
     diffs = np.diff(trajectories, axis=1)                # r x d steps x d coordinates
     moved = np.argmax(np.abs(diffs), axis=2)             # coordinate moved at each step
     step = np.take_along_axis(diffs, moved[..., None], axis=2)[..., 0]
@@ -176,7 +168,7 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
     """Morris screening of predict_fn over the observed feature ranges.
 
     X_train is the training matrix in model space. Total model evaluations:
-    trajectories * (d + 1), in one call at the default size.
+    trajectories * (d + 1), in one call.
     """
     X = np.asarray(X_train, dtype=np.float64)
     d = X.shape[1]

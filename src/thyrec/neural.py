@@ -6,7 +6,9 @@ binary cross-entropy. Everything is deterministic given (seed, data, config):
 shuffles and dropout masks are drawn from a single seeded generator in a
 fixed order. Every weight and bias is a view into one flat vector owned by
 the MLP, so Adam updates the whole network at once; the forward pass works
-in place and caches only each layer's input.
+in place and caches only each layer's input. Inference runs the forward pass
+over fixed blocks of PREDICT_ROWS rows, so its activation memory stays near
+one block's (about 1 MB for a 128-unit layer) whatever the row count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ BCE_EPS = 1e-7
 
 VAL_FROM_TRAIN = "train"
 VAL_FROM_TEST_AS_PAPER = "test-as-paper"
+
+# Rows per inference forward pass. Blocks start at multiples of it and all
+# but the last are full, so a full block's outputs do not depend on how many
+# rows follow it.
+PREDICT_ROWS = 1024
 
 
 @dataclass
@@ -85,8 +92,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a finite number > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if not self.epsilon > 0:
@@ -266,8 +273,19 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
 
 
 def predict_proba(mlp: MLP, X: np.ndarray) -> np.ndarray:
-    """P(class=1) per row, inference mode (no dropout, deterministic)."""
-    return forward(mlp, X, train=False).probs
+    """P(class=1) per row, inference mode (no dropout, deterministic).
+
+    The rows go through `forward` in blocks X[lo:lo + PREDICT_ROWS], lo a
+    multiple of PREDICT_ROWS, and each block's probabilities are written into
+    one (n,) output, so only one block's activations are alive at a time.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != mlp.d_in:
+        raise ValueError(f"dimension mismatch: X is {X.shape}, model expects (n, {mlp.d_in})")
+    probs = np.empty(len(X))
+    for lo in range(0, len(X), PREDICT_ROWS):
+        probs[lo:lo + PREDICT_ROWS] = forward(mlp, X[lo:lo + PREDICT_ROWS]).probs
+    return probs
 
 
 def predict_label(mlp: MLP, X: np.ndarray) -> np.ndarray:
@@ -289,7 +307,9 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
     data is given and validation_source is "train", validation rows are
     carved from the tail of a seeded shuffle of the training set and excluded
     from the updates. Validation is monitoring only; there is no early
-    stopping.
+    stopping. A run whose weights or training loss stop being finite raises
+    ValueError naming the first such epoch; numpy's overflow warnings are
+    silenced in favour of that one error.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -309,21 +329,25 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
     state = init_adam(params)
     history = TrainHistory()
     n = X.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            cache = forward(mlp, X[batch], train=True, rng=rng)
-            grads = backward(mlp, cache, y[batch])
-            adam_step(params, [grads[0].base], state, config)
-        p_train = predict_proba(mlp, X)
-        history.train_loss.append(bce_loss(p_train, y))
-        history.train_accuracy.append(_accuracy(p_train, y))
-        if X_val is not None and len(X_val) > 0:
-            p_val = predict_proba(mlp, X_val)
-            history.val_loss.append(bce_loss(p_val, np.asarray(y_val, dtype=np.int64)))
-            history.val_accuracy.append(_accuracy(p_val, np.asarray(y_val, dtype=np.int64)))
-        else:
-            history.val_loss.append(float("nan"))
-            history.val_accuracy.append(float("nan"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                batch = order[start:start + config.batch_size]
+                cache = forward(mlp, X[batch], train=True, rng=rng)
+                grads = backward(mlp, cache, y[batch])
+                adam_step(params, [grads[0].base], state, config)
+            p_train = predict_proba(mlp, X)
+            history.train_loss.append(bce_loss(p_train, y))
+            if not (np.isfinite(mlp.flat).all() and math.isfinite(history.train_loss[-1])):
+                raise ValueError(f"training diverged: non-finite weights or training loss "
+                                 f"after epoch {epoch} (learning_rate {config.learning_rate:g})")
+            history.train_accuracy.append(_accuracy(p_train, y))
+            if X_val is not None and len(X_val) > 0:
+                p_val = predict_proba(mlp, X_val)
+                history.val_loss.append(bce_loss(p_val, np.asarray(y_val, dtype=np.int64)))
+                history.val_accuracy.append(_accuracy(p_val, np.asarray(y_val, dtype=np.int64)))
+            else:
+                history.val_loss.append(float("nan"))
+                history.val_accuracy.append(float("nan"))
     return mlp, history

@@ -97,6 +97,18 @@ class TestTrain:
                      "--epochs", "0"]) == 2
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("lr, message", [
+        ("nan", "learning_rate must be a finite number > 0"),
+        ("inf", "learning_rate must be a finite number > 0"),
+        ("1e300", "non-finite weights or training loss after epoch 1 ")])
+    def test_non_finite_learning_rate_exits_2(self, small_csv, tmp_path, capsys,
+                                               lr, message):
+        assert main(["train", "--data", small_csv, "--out", str(tmp_path),
+                     "--epochs", "3", "--lr", lr]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestEvaluate:
     def test_reproduces_stored_test_metrics(self, small_csv, tmp_path):
@@ -253,6 +265,16 @@ class TestExplain:
         assert main(["explain", "--model", str(model), "--data", small_csv,
                      "--index", "0", "--num-samples", "50", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_nan_kernel_width_exits_2(self, small_csv, tmp_path, capsys):
+        model = run_train(small_csv, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model), "--data", small_csv,
+                     "--index", "0", "--num-samples", "50", "--kernel-width", "nan",
+                     "--out", str(tmp_path / "exp")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "kernel_width" in err[0]
+        assert not (tmp_path / "exp").exists()
 
     def test_index_out_of_range_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")

@@ -200,6 +200,17 @@ class TestSamplerDistribution:
             assert within(both, match[j] * match[k]), (j, k)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"kernel_width": float("nan")}, "kernel_width"),
+        ({"ridge_lambda": float("nan")}, "ridge_lambda"),
+        ({"ridge_lambda": float("inf")}, "ridge_lambda")],
+        ids=["width-nan", "ridge-nan", "ridge-inf"])
+    def test_non_finite_rejected_naming_the_setting(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            LimeConfig(**kwargs)
+
+
 class TestKernel:
     def test_zero_distance(self):
         assert kernel_weight(0.0, 0.75) == 1.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thyrec.morris import (MAX_ROWS_PER_CALL, FeatureRanges, MorrisConfig,
+from thyrec.morris import (FeatureRanges, MorrisConfig,
                            NonFiniteModelOutputError, TooFewTrajectoriesError, aggregate,
                            analyze, elementary_effects, generate_trajectories)
 from thyrec.neural import init_mlp, predict_proba
@@ -170,7 +170,7 @@ class TestElementaryEffects:
         analyze(counting, X_train, MorrisConfig(seed=8))
         assert shapes == [(100 * 17, 16)]
 
-    def test_blocks_of_whole_trajectories(self):
+    def test_large_screen_is_one_call(self):
         rows = []
 
         def linear(X):
@@ -185,9 +185,8 @@ class TestElementaryEffects:
         ranges = FeatureRanges(lo=np.array([-1.0, 0.0, 2.0, -3.0, 0.5]),
                                hi=np.array([1.0, 4.0, 2.0, 3.0, 0.7]))
         ee = elementary_effects(counting, trajs, ranges, config.effective_delta)
-        # 682 trajectories of 6 points fill a block; the last holds the rest
-        assert rows == [4092, 4092, 3816]
-        assert max(rows) <= MAX_ROWS_PER_CALL and all(n % 6 == 0 for n in rows)
+        # the model bounds its own memory, so 2,000 trajectories are one call
+        assert rows == [2000 * 6]
         assert np.array_equal(ee, loop_effects(linear, trajs, ranges, config.effective_delta))
 
     def test_wrong_output_length_rejected(self):

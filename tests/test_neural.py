@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thyrec.neural import (BCE_EPS, MLP, RELU, SIGMOID, Layer, TrainConfig, _sigmoid,
-                           adam_step, backward, bce_loss, forward, init_adam, init_mlp,
-                           predict_label, predict_proba, train)
+from thyrec.neural import (BCE_EPS, MLP, PREDICT_ROWS, RELU, SIGMOID, Layer, TrainConfig,
+                           _sigmoid, adam_step, backward, bce_loss, forward, init_adam,
+                           init_mlp, predict_label, predict_proba, train)
 from thyrec.persist import load_model, save_model
 
 
@@ -231,9 +232,10 @@ class TestAdam:
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": float("nan")}, {"beta2": 1.0},
-        {"beta2": -1e-3}, {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": float("nan")}],
+        {"beta2": -1e-3}, {"epsilon": 0.0}, {"epsilon": -1e-8}, {"epsilon": float("nan")},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")}],
         ids=["beta1-1", "beta1-negative", "beta1-nan", "beta2-1", "beta2-negative",
-             "epsilon-0", "epsilon-negative", "epsilon-nan"])
+             "epsilon-0", "epsilon-negative", "epsilon-nan", "lr-nan", "lr-inf"])
     def test_adam_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
@@ -294,6 +296,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(mlp, np.empty((0, 2)), np.empty(0), TrainConfig(seed=0))
 
+    def test_diverging_run_names_the_first_bad_epoch(self, recwarn):
+        X, y = separable_blobs()
+        config = TrainConfig(learning_rate=1e300, epochs=1, seed=0)
+        mlp, _ = train(init_mlp(2, [8, 4], seed=0), X, y, config)
+        assert np.isfinite(mlp.flat).all()
+        config.epochs = 5
+        with pytest.raises(ValueError, match="non-finite weights or training loss after epoch 2 "):
+            train(init_mlp(2, [8, 4], seed=0), X, y, config)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestPredict:
     def test_range_and_threshold(self):
@@ -306,6 +318,35 @@ class TestPredict:
     def test_zero_weight_model_all_half(self):
         mlp = zeroed(init_mlp(3, [4], seed=0))
         assert np.all(predict_proba(mlp, np.ones((4, 3))) == 0.5)
+
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 5 * 1024 + 17])
+    def test_fixed_blocks(self, rows):
+        assert PREDICT_ROWS == 1024
+        mlp = paper_net(3)
+        X = np.random.default_rng(rows).normal(size=(rows, 16))
+        p = predict_proba(mlp, X)
+        blocks = [forward(mlp, X[lo:lo + 1024]).probs for lo in range(0, rows, 1024)]
+        assert p.shape == (rows,)
+        assert p.tobytes() == np.concatenate([np.empty(0)] + blocks).tobytes()
+        np.testing.assert_allclose(p, forward(mlp, X).probs, rtol=0.0, atol=1e-12)
+
+    def test_memory_bounded_by_one_block(self):
+        mlp = paper_net(3)
+        X = np.random.default_rng(0).normal(size=(38_300, 16))
+        tracemalloc.start()
+        try:
+            predict_proba(mlp, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one whole-batch forward peaks near 70 MB here
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 5), (2048, 3), (4,)])
+    def test_dimension_mismatch(self, shape):
+        mlp = init_mlp(4, [3], seed=0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict_proba(mlp, np.ones(shape))
 
 
 # Per-array reference: the forward, backward and Adam of the implementation
