@@ -1,0 +1,101 @@
+"""Median latency and minor page faults of a served explain/screen mix.
+
+Usage: python scripts/request_faults.py --model MODEL.json --data TABLE.csv
+           [--seed 0] [--warmup 5] [--rounds 3] [--mixes 50]
+
+Trains nothing. Loads a trained model and the CSV it was trained on, then
+serves request mixes in this one process, as a long-lived server would: each
+mix is 4 LIME explanations (default LimeConfig, a seeded random row each) and
+1 Morris screen (default MorrisConfig) of the training rows. After --warmup
+untimed mixes it runs --rounds rounds of --mixes mixes and prints one JSON
+object: the median wall time per request kind over all timed requests, and
+the minor page faults per mix of each round, read from
+resource.getrusage(RUSAGE_SELF).ru_minflt around the round.
+
+Fault counts depend on the C library's allocator (glibc's dynamic mmap and
+trim thresholds) and on the BLAS build and its thread count
+(OPENBLAS_NUM_THREADS), so compare two commits only on one machine with the
+same environment. Linux and other Unix systems only (the resource module).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from thyrec import lime, morris  # noqa: E402
+from thyrec.cli import _load_for_model, _recover_split  # noqa: E402
+from thyrec.data import apply_scaler  # noqa: E402
+from thyrec.neural import predict_proba  # noqa: E402
+from thyrec.persist import load_model  # noqa: E402
+
+EXPLAINS_PER_SCREEN = 4
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--model", required=True, help="trained model.json")
+    parser.add_argument("--data", required=True, help="the CSV the model was trained on")
+    parser.add_argument("--seed", type=int, default=0, help="seed of rows and request seeds")
+    parser.add_argument("--warmup", type=int, default=5, help="untimed mixes first")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--mixes", type=int, default=50, help="mixes per round")
+    args = parser.parse_args()
+    if args.warmup < 0 or args.rounds < 1 or args.mixes < 1:
+        parser.error("need --warmup >= 0, --rounds >= 1 and --mixes >= 1")
+
+    artifact = load_model(args.model)
+    encoded = _load_for_model(args.data, artifact)
+    idx = _recover_split(artifact, encoded.y)
+    X_all = apply_scaler(artifact.scaler, encoded.X)
+    X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])
+    rng = random.Random(args.seed)
+    times: dict[str, list[float]] = {"explain": [], "screen": []}
+
+    def predict(X):
+        return predict_proba(artifact.mlp, X)
+
+    def mix(timed: bool) -> None:
+        for kind in ["explain"] * EXPLAINS_PER_SCREEN + ["screen"]:
+            seed = rng.randrange(2**31)
+            start = time.perf_counter()
+            if kind == "explain":
+                row = rng.randrange(len(X_all))
+                lime.explain(predict, X_all[row], X_train, lime.LimeConfig(seed=seed),
+                             schema=artifact.schema, scaler=artifact.scaler,
+                             instance_index=row)
+            else:
+                morris.analyze(predict, X_train, morris.MorrisConfig(seed=seed),
+                               feature_names=artifact.schema.feature_names)
+            if timed:
+                times[kind].append(time.perf_counter() - start)
+
+    for _ in range(args.warmup):
+        mix(timed=False)
+    faults_per_mix = []
+    for _ in range(args.rounds):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(args.mixes):
+            mix(timed=True)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults_per_mix.append(round((after - before) / args.mixes, 2))
+
+    print(json.dumps({
+        "model": args.model, "data": args.data, "seed": args.seed,
+        "rounds": args.rounds, "mixes_per_round": args.mixes,
+        "explain_p50_ms": round(statistics.median(times["explain"]) * 1e3, 4),
+        "screen_p50_ms": round(statistics.median(times["screen"]) * 1e3, 4),
+        "minor_faults_per_mix": faults_per_mix,
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

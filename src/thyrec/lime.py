@@ -19,11 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUMERIC, FeatureSchema, Scaler, decode_category
+from .data import NUMERIC, DataError, FeatureSchema, Scaler, decode_category
 
 
 class SingularSystemError(ValueError):
     """Unpenalized surrogate fit on a rank-deficient design."""
+
+
+class TooFewRowsError(DataError, ValueError):
+    """Too few training rows to fit quartile edges: a data error to the CLI
+    (exit 3), and still a ValueError to library callers."""
 
 
 @dataclass
@@ -92,7 +97,7 @@ def fit_discretizer(X_train: np.ndarray,
     categorical feature. Without a schema every feature is continuous."""
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.shape[0] < 4:
-        raise ValueError("need at least 4 training rows to fit quartiles")
+        raise TooFewRowsError("need at least 4 training rows to fit quartiles")
     d = X_train.shape[1]
     kinds = [NUMERIC] * d if schema is None else [f.kind for f in schema.features]
     return [_quartiles(X_train[:, j]) if kind == NUMERIC else None
@@ -157,8 +162,9 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     y_bar = float(sw @ y)
     Zc = Z - z_bar
     yc = y - y_bar
-    A = (Zc * wn[:, None]).T @ Zc + ridge_lambda * np.eye(d)
-    rhs = (Zc * wn[:, None]).T @ yc
+    ZcW_T = (Zc * wn[:, None]).T
+    A = ZcW_T @ Zc + ridge_lambda * np.eye(d)
+    rhs = ZcW_T @ yc
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(A) < d:
         raise SingularSystemError("rank-deficient design with lambda = 0")
     beta = np.linalg.solve(A, rhs)
@@ -206,7 +212,9 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     stats = build_stats(X_train, edges)
     Z, Zm = sample_perturbations(instance, config.num_samples, stats, rng)
     width = config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
-    distance = np.sqrt(np.square(1.0 - Z).sum(axis=1))
+    # Euclidean distance to the all-ones instance row; Z is 0/1, so the sum of
+    # squared differences is the count of zeros, d - Z.sum(axis=1), exactly
+    distance = np.sqrt(d - Z.sum(axis=1))
     weights = kernel_weight(distance, width)
     targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()   # row 0: the instance
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)

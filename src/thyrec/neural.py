@@ -7,13 +7,17 @@ shuffles and dropout masks are drawn from a single seeded generator in a
 fixed order. Every weight and bias is a view into one flat vector owned by
 the MLP, so Adam updates the whole network at once; the forward pass works
 in place and caches only each layer's input. Inference runs the forward pass
-over fixed blocks of PREDICT_ROWS rows, so its activation memory stays near
-one block's (about 1 MB for a 128-unit layer) whatever the row count.
+over fixed blocks of PREDICT_ROWS rows, writing each layer's activations into
+a per-thread workspace: one (PREDICT_ROWS, width) buffer per layer, allocated
+the first time a thread predicts with a given layout and reused by every later
+call (about 1.8 MB for the 128/64/32/1 layout). Its memory is already mapped,
+so a long-lived process stops faulting activation pages in on every block.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +35,11 @@ VAL_FROM_TEST_AS_PAPER = "test-as-paper"
 # but the last are full, so a full block's outputs do not depend on how many
 # rows follow it.
 PREDICT_ROWS = 1024
+
+# Per-thread inference workspace: layer widths -> one (PREDICT_ROWS, width)
+# buffer per layer. Thread-local, so concurrent predicts need no lock, and a
+# thread's buffers are freed when the thread ends.
+_workspace = threading.local()
 
 
 @dataclass
@@ -167,12 +176,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward(mlp: MLP, X: np.ndarray, train: bool = False,
-            rng: np.random.Generator | None = None) -> ForwardPass:
+            rng: np.random.Generator | None = None,
+            out: list[np.ndarray] | None = None) -> ForwardPass:
     """Run the network on a batch.
 
     In train mode each hidden activation is multiplied by an inverted-dropout
     mask (Bernoulli keep-prob 1-rate, scaled by 1/(1-rate)); inference applies
     no mask and is a pure function of (mlp, X).
+
+    `out`, for inference only, holds one C-contiguous (m, width) buffer per
+    layer with m >= len(X); layer l's pre-activation and activation are
+    written into out[l][:len(X)], with the same bits as a fresh array. The
+    returned `inputs` then alias those buffers and are valid only until the
+    next call that writes them; `probs` is always a fresh array.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mlp.d_in:
@@ -181,7 +197,7 @@ def forward(mlp: MLP, X: np.ndarray, train: bool = False,
     a = X
     for l, layer in enumerate(mlp.layers):
         inputs.append(a)
-        z = a @ layer.W
+        z = a @ layer.W if out is None else np.matmul(a, layer.W, out=out[l][:len(a)])
         z += layer.b
         if layer.activation == RELU:
             a = np.maximum(z, 0.0, out=z)
@@ -272,19 +288,32 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     return params, state
 
 
+def _block_buffers(mlp: MLP) -> list[np.ndarray]:
+    """This thread's (PREDICT_ROWS, width) buffer per layer of mlp's layout,
+    allocated on the thread's first predict with that layout."""
+    widths = tuple(layer.W.shape[1] for layer in mlp.layers)
+    by_widths = _workspace.__dict__.setdefault("by_widths", {})
+    if widths not in by_widths:
+        by_widths[widths] = [np.empty((PREDICT_ROWS, w)) for w in widths]
+    return by_widths[widths]
+
+
 def predict_proba(mlp: MLP, X: np.ndarray) -> np.ndarray:
     """P(class=1) per row, inference mode (no dropout, deterministic).
 
     The rows go through `forward` in blocks X[lo:lo + PREDICT_ROWS], lo a
-    multiple of PREDICT_ROWS, and each block's probabilities are written into
-    one (n,) output, so only one block's activations are alive at a time.
+    multiple of PREDICT_ROWS, with the calling thread's workspace as `out`,
+    and each block's probabilities are copied into one fresh (n,) output. So
+    only one block's activations exist at a time, they reuse memory earlier
+    calls in the thread already touched, and nothing returned aliases them.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mlp.d_in:
         raise ValueError(f"dimension mismatch: X is {X.shape}, model expects (n, {mlp.d_in})")
+    buffers = _block_buffers(mlp)
     probs = np.empty(len(X))
     for lo in range(0, len(X), PREDICT_ROWS):
-        probs[lo:lo + PREDICT_ROWS] = forward(mlp, X[lo:lo + PREDICT_ROWS]).probs
+        probs[lo:lo + PREDICT_ROWS] = forward(mlp, X[lo:lo + PREDICT_ROWS], out=buffers).probs
     return probs
 
 

@@ -281,6 +281,18 @@ class TestExplain:
         assert main(["explain", "--model", str(model), "--data", small_csv,
                      "--index", "99999", "--out", str(tmp_path / "x")]) == 3
 
+    def test_too_few_training_rows_exits_3(self, tmp_path, capsys):
+        """A 4-row table leaves 3 training rows, too few to fit quartile
+        edges: a data error, not an invalid flag."""
+        csv = tmp_path / "tiny.csv"
+        write_csv(csv, n=4, seed=3)
+        model = run_train(str(csv), tmp_path / "run", epochs=2)
+        capsys.readouterr()
+        assert main(["explain", "--model", str(model), "--data", str(csv),
+                     "--index", "0", "--out", str(tmp_path / "exp")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: need at least 4 training rows to fit quartiles"]
+
     @staticmethod
     def imports_numpy_ma(csv, tmp_path, train_extra=()):
         model = run_train(csv, tmp_path / "run", extra=train_extra)

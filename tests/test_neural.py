@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,6 +349,77 @@ class TestPredict:
         mlp = init_mlp(4, [3], seed=0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict_proba(mlp, np.ones(shape))
+
+
+def blockwise_reference(mlp, X):
+    """predict_proba's blocks run through `forward` without a workspace."""
+    blocks = [forward(mlp, X[lo:lo + PREDICT_ROWS]).probs
+              for lo in range(0, len(X), PREDICT_ROWS)]
+    return np.concatenate([np.empty(0)] + blocks)
+
+
+class TestWorkspace:
+    def test_warm_call_allocates_no_block_memory(self):
+        mlp = paper_net(3)
+        X = np.random.default_rng(0).normal(size=(5001, 16))
+        predict_proba(mlp, X)
+        tracemalloc.start()
+        try:
+            predict_proba(mlp, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's fresh activations alone take ~1.8 MB
+        assert peak < 256 * 1024
+
+    def test_layouts_alternated_in_one_thread(self):
+        nets = [paper_net(3), init_mlp(16, [7, 5], seed=4), paper_net(5)]
+        X = np.random.default_rng(1).normal(size=(2 * PREDICT_ROWS + 9, 16))
+        expected = [blockwise_reference(mlp, X).tobytes() for mlp in nets]
+        for _ in range(2):
+            for mlp, want in zip(nets, expected):
+                assert predict_proba(mlp, X).tobytes() == want
+
+    @pytest.mark.parametrize("rows", [1, PREDICT_ROWS + 5])
+    def test_result_unchanged_by_later_call(self, rows):
+        mlp = paper_net(3)
+        rng = np.random.default_rng(rows)
+        p = predict_proba(mlp, rng.normal(size=(rows, 16)))
+        before = p.tobytes()
+        predict_proba(mlp, rng.normal(size=(rows, 16)))
+        assert p.tobytes() == before
+
+    def test_concurrent_threads_match_serial_calls(self):
+        """Each thread predicts into its own workspace: more threads than
+        cores, two on one model with different inputs, one on a second model
+        of the same layout and one on another layout, with a short switch
+        interval, give the bytes of the same calls made one after another."""
+        rng = np.random.default_rng(7)
+        shared = paper_net(3)
+        nets = [shared, shared, paper_net(5), init_mlp(16, [7, 5], seed=4)]
+        jobs = [(mlp, rng.normal(size=(2 * PREDICT_ROWS + 300, 16))) for mlp in nets]
+        serial = [predict_proba(mlp, X).tobytes() for mlp, X in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            mlp, X = jobs[i]
+            start.wait(timeout=30)
+            for _ in range(5):
+                results[i].append(predict_proba(mlp, X).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * 5 for want in serial]
 
 
 # Per-array reference: the forward, backward and Adam of the implementation
