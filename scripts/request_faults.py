@@ -35,7 +35,6 @@ from thyrec import lime, morris  # noqa: E402
 from thyrec.cli import _load_for_model, _recover_split  # noqa: E402
 from thyrec.data import apply_scaler  # noqa: E402
 from thyrec.neural import predict_proba  # noqa: E402
-from thyrec.persist import load_model  # noqa: E402
 
 EXPLAINS_PER_SCREEN = 4
 
@@ -52,8 +51,7 @@ def main() -> None:
     if args.warmup < 0 or args.rounds < 1 or args.mixes < 1:
         parser.error("need --warmup >= 0, --rounds >= 1 and --mixes >= 1")
 
-    artifact = load_model(args.model)
-    encoded = _load_for_model(args.data, artifact)
+    artifact, encoded = _load_for_model(args)
     idx = _recover_split(artifact, encoded.y)
     X_all = apply_scaler(artifact.scaler, encoded.X)
     X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])

@@ -32,18 +32,16 @@ from .persist import (ArtifactError, EvalResult, ModelArtifact, SplitInfo,
 
 HIDDEN_LAYOUT = [128, 64, 32]
 TRAIN_RATIO = 0.8
-HISTORY_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
+HISTORY_HEADER = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
 REPORT_DECIMALS = 4
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(x))
-
-
-def _quote(name: str) -> str:
-    """A CSV cell holding name, always quoted, embedded quotes doubled."""
-    return '"' + name.replace('"', '""') + '"'
+def _cell(value) -> str:
+    """A CSV cell: names always quoted with embedded quotes doubled, ints as
+    written, floats in their shortest round-trip decimal representation."""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def _write(path: Path, text: str) -> None:
@@ -53,6 +51,11 @@ def _write(path: Path, text: str) -> None:
 
 def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _metric_cell(value: float | None) -> str:
@@ -80,14 +83,16 @@ def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
     return split(len(y), ratio, seed)
 
 
-def _load_for_model(data_path: str, artifact: ModelArtifact):
-    """Encode a CSV with the model's schema; nothing is inferred from it."""
-    dataset, schema = load_csv(data_path), artifact.schema
+def _load_for_model(args):
+    """The artifact at args.model and the CSV at args.data encoded with its
+    schema; nothing is inferred from the data."""
+    artifact = load_model(args.model)
+    dataset, schema = load_csv(args.data), artifact.schema
     columns = schema.feature_names + [schema.target_name]
     if dataset.header != columns:
         raise SchemaMismatchError(
             f"data columns {dataset.header} do not match the model's {columns}")
-    return encode_with_schema(dataset.rows, dataset.targets, schema)
+    return artifact, encode_with_schema(dataset.rows, dataset.targets, schema)
 
 
 def _recover_split(artifact: ModelArtifact, y: np.ndarray):
@@ -143,13 +148,9 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(artifact, str(out / "model.json"))
 
-    lines = [HISTORY_HEADER]
-    for e in range(len(history)):
-        lines.append(",".join([str(e + 1), _fmt(history.train_loss[e]),
-                               _fmt(history.train_accuracy[e]),
-                               _fmt(history.val_loss[e]),
-                               _fmt(history.val_accuracy[e])]))
-    _write(out / "history.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "history.csv", HISTORY_HEADER,
+               zip(range(1, len(history) + 1), history.train_loss,
+                   history.train_accuracy, history.val_loss, history.val_accuracy))
     _write_json(out / "train_report.json", _report_dict(results))
 
     _print_metrics_table(results)
@@ -159,8 +160,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    artifact = load_model(args.model)
-    encoded = _load_for_model(args.data, artifact)
+    artifact, encoded = _load_for_model(args)
     if args.partition == "all":
         rows = np.arange(len(encoded.y))
     else:
@@ -176,8 +176,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    artifact = load_model(args.model)
-    encoded = _load_for_model(args.data, artifact)
+    artifact, encoded = _load_for_model(args)
     n = len(encoded.y)
     if not 0 <= args.index < n:
         raise DataError(f"index {args.index} out of range for {n} rows")
@@ -193,17 +192,10 @@ def cmd_explain(args) -> int:
 
     out = Path(args.out)
     _write_json(out / "explanation.json", {
-        "instance_index": result.instance_index,
-        "class_probabilities": list(result.class_probabilities),
-        "intercept": result.intercept,
-        "local_r2": result.local_r2,
-        "surrogate_prediction": result.surrogate_prediction,
-        "feature_weights": [{"feature": f, "weight": w}
-                            for f, w in result.feature_weights],
+        **asdict(result),
+        "feature_weights": [{"feature": f, "weight": w} for f, w in result.feature_weights],
     })
-    bars = ["feature,weight"]
-    bars += [f"{_quote(f)},{_fmt(w)}" for f, w in result.feature_weights]
-    _write(out / "explanation_bars.csv", "\n".join(bars) + "\n")
+    _write_csv(out / "explanation_bars.csv", ["feature", "weight"], result.feature_weights)
 
     p0, p1 = result.class_probabilities
     print(f"row {args.index}: P(no recurrence)={p0:.4f} P(recurrence)={p1:.4f} "
@@ -214,8 +206,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    artifact = load_model(args.model)
-    encoded = _load_for_model(args.data, artifact)
+    artifact, encoded = _load_for_model(args)
     idx = _recover_split(artifact, encoded.y)
     X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])
 
@@ -225,15 +216,10 @@ def cmd_sensitivity(args) -> int:
                      feature_names=artifact.schema.feature_names)
 
     out = Path(args.out)
-    table = ["feature,mu,mu_star,sigma"]
-    for j, name in enumerate(result.feature_names):
-        table.append(f"{_quote(name)},{_fmt(result.mu[j])},{_fmt(result.mu_star[j])},"
-                     f"{_fmt(result.sigma[j])}")
-    _write(out / "sensitivity.csv", "\n".join(table) + "\n")
-    scatter = ["feature,mu_star,sigma"]
-    scatter += [f"{_quote(name)},{_fmt(result.mu_star[j])},{_fmt(result.sigma[j])}"
-                for j, name in enumerate(result.feature_names)]
-    _write(out / "sensitivity_scatter.csv", "\n".join(scatter) + "\n")
+    _write_csv(out / "sensitivity.csv", ["feature", "mu", "mu_star", "sigma"],
+               zip(result.feature_names, result.mu, result.mu_star, result.sigma))
+    _write_csv(out / "sensitivity_scatter.csv", ["feature", "mu_star", "sigma"],
+               zip(result.feature_names, result.mu_star, result.sigma))
     _write_json(out / "sensitivity.json", {
         "features": [{"name": name, "mu": result.mu[j], "mu_star": result.mu_star[j],
                       "sigma": result.sigma[j], "degenerate": bool(result.degenerate[j])}

@@ -127,8 +127,6 @@ class Scaler:
 class SplitIndices:
     train: np.ndarray
     test: np.ndarray
-    seed: int
-    ratio: float
 
 
 def _numbers(cells) -> np.ndarray | None:
@@ -286,7 +284,7 @@ def stratified_split(y: np.ndarray, ratio: float, seed: int) -> SplitIndices:
     test = np.concatenate(test_parts)
     if len(train) == 0 or len(test) == 0:
         raise DegenerateSplitError(f"split {ratio} of {n} rows leaves one side empty")
-    return SplitIndices(train=train, test=test, seed=seed, ratio=ratio)
+    return SplitIndices(train=train, test=test)
 
 
 def split_digest(indices: SplitIndices) -> str:

@@ -5,13 +5,15 @@ dropout and a sigmoid output unit, trained by mini-batch Adam on clamped
 binary cross-entropy. Everything is deterministic given (seed, data, config):
 shuffles and dropout masks are drawn from a single seeded generator in a
 fixed order. Every weight and bias is a view into one flat vector owned by
-the MLP, so Adam updates the whole network at once; the forward pass works
-in place and caches only each layer's input. Inference runs the forward pass
-over fixed blocks of PREDICT_ROWS rows, writing each layer's activations into
-a per-thread workspace: one (PREDICT_ROWS, width) buffer per layer, allocated
-the first time a thread predicts with a given layout and reused by every later
-call (about 1.8 MB for the 128/64/32/1 layout). Its memory is already mapped,
-so a long-lived process stops faulting activation pages in on every block.
+the MLP, and training works on that layout throughout: `backward` returns one
+gradient vector shaped like it, and Adam steps it as one vector with moments
+of the same shape. The forward pass works in place and caches only each
+layer's input. Inference runs the forward pass over fixed blocks of
+PREDICT_ROWS rows, writing each layer's activations into a per-thread
+workspace: one (PREDICT_ROWS, width) buffer per layer, allocated the first
+time a thread predicts with a given layout and reused by every later call
+(about 1.8 MB for the 128/64/32/1 layout). Its memory is already mapped, so a
+long-lived process stops faulting activation pages in on every block.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class MLP:
     flat: np.ndarray = field(init=False, repr=False, compare=False)   # every W and b
 
     def __post_init__(self):
+        if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
+            raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
         views = _param_views(self.flat, self.layers)
         for layer, W, b in zip(self.layers, views[::2], views[1::2]):
@@ -77,11 +81,7 @@ class MLP:
 
     def parameters(self) -> list[np.ndarray]:
         """Per-layer views [W0, b0, W1, b1, ...] into `flat`."""
-        params: list[np.ndarray] = []
-        for layer in self.layers:
-            params.append(layer.W)
-            params.append(layer.b)
-        return params
+        return [p for layer in self.layers for p in (layer.W, layer.b)]
 
     def num_parameters(self) -> int:
         return self.flat.size
@@ -121,8 +121,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray          # first moment, shaped like the parameter vector
+    v: np.ndarray          # second moment, likewise
     t: int = 0
 
 
@@ -226,12 +226,12 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
 
 
-def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients of the clamped-BCE mean, in parameters() order.
+def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> np.ndarray:
+    """Exact gradient of the clamped-BCE mean as one fresh vector laid out
+    like `mlp.flat`, written per layer through `_param_views`.
 
-    They are views of one fresh vector laid out like `mlp.flat` (their
-    `.base`). Dropout masks cached by the forward pass are applied identically
-    here; rows where the output probability sits on the clamp contribute zero
+    Dropout masks cached by the forward pass are applied identically here;
+    rows where the output probability sits on the clamp contribute zero
     gradient (the clamp is flat there).
     """
     y = np.asarray(y, dtype=np.float64)
@@ -243,49 +243,46 @@ def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> list[np.ndarray]:
     p = cache.probs
     inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
     dz = (np.where(inside, p - y, 0.0) / n)[:, None]
-    grads = _param_views(np.empty_like(mlp.flat), mlp.layers)
+    grad = np.empty_like(mlp.flat)
+    views = _param_views(grad, mlp.layers)
     for l in range(len(mlp.layers) - 1, -1, -1):
         a_in = cache.inputs[l]
-        np.matmul(a_in.T, dz, out=grads[2 * l])
-        dz.sum(axis=0, out=grads[2 * l + 1])
+        np.matmul(a_in.T, dz, out=views[2 * l])
+        dz.sum(axis=0, out=views[2 * l + 1])
         if l > 0:
             dz = dz @ mlp.layers[l].W.T
             if cache.masks[l - 1] is not None:
                 dz *= cache.masks[l - 1]
             dz *= a_in > 0.0
-    return grads
+    return grad
 
 
-def init_adam(params: list[np.ndarray]) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params], t=0)
+def init_adam(param: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(param), v=np.zeros_like(param), t=0)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, config: TrainConfig) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, in place: bias-corrected first/second moments,
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). `train` passes the
-    flat parameter and gradient vectors, so the loop runs once."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("shape mismatch: params/grads/state lengths differ")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
+              config: TrainConfig) -> None:
+    """One Adam update of the vector `param`, in place: bias-corrected
+    first/second moments, theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    Adam is elementwise, so `train` steps the whole network as `mlp.flat`."""
+    if not param.shape == grad.shape == state.m.shape:
+        raise ValueError(f"shape mismatch: param {param.shape}, grad {grad.shape}, "
+                         f"state {state.m.shape}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        v *= b2
-        v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
-        denom = np.sqrt(np.divide(v, bc2))
-        denom += config.epsilon
-        np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
-        p -= np.divide(step, denom, out=step)
-    return params, state
+    m, v = state.m, state.v
+    step = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += step
+    v *= b2
+    v += np.multiply(np.multiply(grad, 1.0 - b2, out=step), grad, out=step)
+    denom = np.sqrt(np.divide(v, bc2))
+    denom += config.epsilon
+    np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
+    param -= np.divide(step, denom, out=step)
 
 
 def _block_buffers(mlp: MLP) -> list[np.ndarray]:
@@ -354,8 +351,7 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
         train_idx, val_idx = perm[:X.shape[0] - n_val], perm[X.shape[0] - n_val:]
         X, y, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
 
-    params = [mlp.flat]
-    state = init_adam(params)
+    state = init_adam(mlp.flat)
     history = TrainHistory()
     n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,8 +360,7 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
             for start in range(0, n, config.batch_size):
                 batch = order[start:start + config.batch_size]
                 cache = forward(mlp, X[batch], train=True, rng=rng)
-                grads = backward(mlp, cache, y[batch])
-                adam_step(params, [grads[0].base], state, config)
+                adam_step(mlp.flat, backward(mlp, cache, y[batch]), state, config)
             p_train = predict_proba(mlp, X)
             history.train_loss.append(bce_loss(p_train, y))
             if not (np.isfinite(mlp.flat).all() and math.isfinite(history.train_loss[-1])):

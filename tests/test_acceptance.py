@@ -89,10 +89,10 @@ def test_criterion_4_adam_first_step():
     rng = np.random.default_rng(0)
     grads = np.concatenate([rng.uniform(1e-3, 10.0, size=500),
                             -rng.uniform(1e-3, 10.0, size=500)])
-    params = [np.zeros(1000)]
+    param = np.zeros(1000)
     config = TrainConfig(seed=0)
-    adam_step(params, [grads], init_adam(params), config)
-    deviation = float(np.max(np.abs(np.abs(params[0]) - config.learning_rate)))
+    adam_step(param, grads, init_adam(param), config)
+    deviation = float(np.max(np.abs(np.abs(param) - config.learning_rate)))
     elapsed = time.perf_counter() - started
     ok = deviation < 1e-6 and elapsed < 1.0
     report(4, ok, f"first-step |update| within {deviation:.1e} of lr=0.001 "

@@ -159,8 +159,10 @@ class TestEvaluate:
         (("train_config", "batch_size"), "32"),
         (("train_config", "beta1"), 1.0),
         (("train_config", "epsilon"), 0.0),
+        (("dropout_rates", 0), 1.0),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
-            "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0"])
+            "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
+            "dropout-rate-1"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())

@@ -45,6 +45,11 @@ class TestInit:
         assert mlp.layers[-1].activation == SIGMOID
         assert mlp.dropout_rates == [0.5]
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError):
+            init_mlp(4, [3], seed=0, dropout=rate)
+
 
 class TestForward:
     def test_zero_weights_give_half(self):
@@ -102,21 +107,18 @@ class TestBceLoss:
 
 
 def numeric_gradients(mlp, X, y, h=1e-5):
-    """Central finite differences of the clamped BCE through the full model."""
-    grads = []
-    for p in mlp.parameters():
-        g = np.zeros_like(p)
-        flat, gflat = p.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = bce_loss(forward(mlp, X).probs, y)
-            flat[i] = orig - h
-            down = bce_loss(forward(mlp, X).probs, y)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central finite differences of the clamped BCE through the full model,
+    one per entry of `mlp.flat`."""
+    grad = np.zeros_like(mlp.flat)
+    for i in range(mlp.flat.size):
+        orig = mlp.flat[i]
+        mlp.flat[i] = orig + h
+        up = bce_loss(forward(mlp, X).probs, y)
+        mlp.flat[i] = orig - h
+        down = bce_loss(forward(mlp, X).probs, y)
+        mlp.flat[i] = orig
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 def analytic_gradients(mlp, X, y):
@@ -125,11 +127,8 @@ def analytic_gradients(mlp, X, y):
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        scale = np.maximum(np.abs(a) + np.abs(n), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - n) / scale)))
-    return worst
+    scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / scale))
 
 
 def draw_safe_case(seed, d=4, hidden=(8, 5), rows=6):
@@ -156,8 +155,8 @@ class TestBackward:
         X = np.array([[1.0, 2.0]])
         y = np.array([1.0])
         cache = forward(mlp, X, train=True, rng=np.random.default_rng(0))
-        grads = backward(mlp, cache, y)
-        assert grads[1][0] == pytest.approx(cache.probs[0] - 1.0, abs=1e-15)
+        grad = backward(mlp, cache, y)     # [W (2), b (1)]
+        assert grad[2] == pytest.approx(cache.probs[0] - 1.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -203,32 +202,32 @@ class TestAdam:
     def test_first_step_magnitude(self):
         config = TrainConfig(seed=0)
         for g in (1.0, -2.5, 0.01, 0.001):
-            params = [np.array([0.0])]
-            state = init_adam(params)
-            adam_step(params, [np.array([g])], state, config)
-            assert abs(abs(params[0][0]) - config.learning_rate) < 1e-6
-            assert math.copysign(1.0, params[0][0]) == -math.copysign(1.0, g)
+            param = np.array([0.0])
+            state = init_adam(param)
+            adam_step(param, np.array([g]), state, config)
+            assert abs(abs(param[0]) - config.learning_rate) < 1e-6
+            assert math.copysign(1.0, param[0]) == -math.copysign(1.0, g)
 
     def test_zero_gradient_noop(self):
-        params = [np.array([1.5, -2.0])]
-        state = init_adam(params)
-        adam_step(params, [np.zeros(2)], state, TrainConfig(seed=0))
-        assert params[0].tolist() == [1.5, -2.0]
-        assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
+        param = np.array([1.5, -2.0])
+        state = init_adam(param)
+        adam_step(param, np.zeros(2), state, TrainConfig(seed=0))
+        assert param.tolist() == [1.5, -2.0]
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
         assert state.t == 1
 
     def test_two_steps_match_hand_recurrence(self):
-        params = [np.array([0.0])]
-        state = init_adam(params)
+        param = np.array([0.0])
+        state = init_adam(param)
         config = TrainConfig(seed=0)
-        adam_step(params, [np.array([1.0])], state, config)
-        adam_step(params, [np.array([1.0])], state, config)
-        assert params[0][0] == pytest.approx(reference_adam_scalar([1.0, 1.0]), abs=1e-15)
+        adam_step(param, np.array([1.0]), state, config)
+        adam_step(param, np.array([1.0]), state, config)
+        assert param[0] == pytest.approx(reference_adam_scalar([1.0, 1.0]), abs=1e-15)
 
     def test_shape_mismatch(self):
-        params = [np.zeros((2, 2))]
+        param = np.zeros(4)
         with pytest.raises(ValueError):
-            adam_step(params, [np.zeros(3)], init_adam(params), TrainConfig(seed=0))
+            adam_step(param, np.zeros(3), init_adam(param), TrainConfig(seed=0))
 
 
 class TestConfig:
@@ -517,6 +516,10 @@ def reference_train(net, X, y, config):
     return train_loss, val_loss
 
 
+def concat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def same_bytes(arrays, reference):
     return len(arrays) == len(reference) and all(
         a.shape == r.shape and a.tobytes() == r.tobytes() for a, r in zip(arrays, reference))
@@ -557,10 +560,10 @@ class TestFlatParameters:
         y = np.ones(8)
         first = backward(mlp, forward(mlp, X), y)
         second = backward(mlp, forward(mlp, X), y)
-        flat = first[0].base
-        assert flat.shape == mlp.flat.shape and flat is not second[0].base
-        assert all(g.base is flat for g in first)
-        assert same_bytes(first, second)
+        assert first.shape == mlp.flat.shape and first.dtype == np.float64
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, mlp.flat)
+        assert first.tobytes() == second.tobytes()
 
 
 class TestMatchesPerArrayReference:
@@ -577,16 +580,16 @@ class TestMatchesPerArrayReference:
         config = TrainConfig(seed=seed)
         data = np.random.default_rng(seed + 100)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        params, state = [mlp.flat], init_adam([mlp.flat])
+        state = init_adam(mlp.flat)
         for rows in (32, 32, 32, 17, 32, 1):
             X = data.normal(size=(rows, 16))
             y = data.integers(0, 2, size=rows).astype(np.float64)
-            grads = backward(mlp, forward(mlp, X, True, rng), y)
+            grad = backward(mlp, forward(mlp, X, True, rng), y)
             ref_grads = ref.step(X, y, ref_rng, config)
-            assert same_bytes(grads, ref_grads)
-            adam_step(params, [grads[0].base], state, config)
+            assert same_bytes([grad], [concat(ref_grads)])
+            adam_step(mlp.flat, grad, state, config)
             assert same_bytes(mlp.parameters(), ref.params)
-        assert same_bytes(state.m, [np.concatenate([m.ravel() for m in ref.m])])
+        assert same_bytes([state.m, state.v], [concat(ref.m), concat(ref.v)])
 
     def test_short_train_run(self):
         rng = np.random.default_rng(4)

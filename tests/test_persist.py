@@ -174,6 +174,8 @@ class TestErrors:
         (("train_config", "validation_source"), "foo"),
         (("train_config", "beta1"), 1.0),
         (("train_config", "epsilon"), 0.0),
+        (("dropout_rates", 0), 1.0),
+        (("dropout_rates", 1), -0.1),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -182,7 +184,7 @@ class TestErrors:
             "tp-string", "accuracy-string", "dropout-rate-string", "weight-bool",
             "numeric-vocab", "stratified-string", "target-name-int",
             "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo",
-            "beta1-1", "epsilon-0"])
+            "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative"])
     def test_malformed_value(self, tmp_path, keys, value):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
