@@ -297,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:    # a flag, or writing under --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:              # a size flag too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,26 +189,37 @@ def load_csv(path: str) -> Dataset:
     """Load a CSV whose last column is a binary target.
 
     The header row names the columns; nothing is inferred (see Dataset.schema).
+    Blank lines are skipped. A record with the wrong number of cells raises
+    RaggedRowError naming the file line the record starts on.
+
+    Each cell is interned as it is parsed, so every distinct value is stored
+    once and equal cells share one string: the table's memory grows with
+    rows x columns pointers plus the distinct values, not with one string
+    per cell, and the transpose and vocabulary lookups that follow touch a
+    few cache-resident strings. The values themselves are unchanged.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            table = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: empty file")
+            header = list(map(sys.intern, header))
+            rows, start = [], reader.line_num + 1
+            for row in reader:
+                if row:  # tolerate blank lines
+                    if len(row) != len(header):
+                        raise RaggedRowError(line=start, expected=len(header), got=len(row))
+                    rows.append(list(map(sys.intern, row)))
+                start = reader.line_num + 1
     except FileNotFoundError as exc:
         raise MissingFileError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if not table:
-        raise EmptyDatasetError(f"{path}: empty file")
-    header, data = table[0], table[1:]
-    data = [row for row in data if row]  # tolerate a trailing blank line
-    if not data:
+    if not rows:
         raise EmptyDatasetError(f"{path}: header only, no data rows")
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise RaggedRowError(line=i + 2, expected=len(header), got=len(row))
-    targets = [row.pop() for row in data]
-    return Dataset(header=header, rows=data, targets=targets)
+    targets = [row.pop() for row in rows]
+    return Dataset(header=header, rows=rows, targets=targets)
 
 
 def label_encode(dataset: Dataset) -> EncodedDataset:

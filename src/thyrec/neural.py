@@ -51,14 +51,20 @@ class Layer:
     activation: str        # RELU for hidden layers, SIGMOID for the output
 
 
-def _param_views(flat: np.ndarray, layers: list[Layer]) -> list[np.ndarray]:
-    """Views of `flat` shaped [W0, b0, W1, b1, ...] like `layers`."""
-    views, start = [], 0
+def _param_layout(layers: list[Layer]) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """Where each of [W0, b0, W1, b1, ...] sits in the flat vector: its slice
+    and its shape, in that order with no gaps."""
+    layout, start = [], 0
     for layer in layers:
         for p in (layer.W, layer.b):
-            views.append(flat[start:start + p.size].reshape(p.shape))
+            layout.append((slice(start, start + p.size), p.shape))
             start += p.size
-    return views
+    return tuple(layout)
+
+
+def _param_views(flat: np.ndarray, layout: tuple) -> list[np.ndarray]:
+    """Views of `flat` shaped [W0, b0, W1, b1, ...] as `layout` places them."""
+    return [flat[where].reshape(shape) for where, shape in layout]
 
 
 @dataclass
@@ -66,12 +72,14 @@ class MLP:
     layers: list[Layer]
     dropout_rates: list[float]     # one rate per hidden layer
     flat: np.ndarray = field(init=False, repr=False, compare=False)   # every W and b
+    layout: tuple = field(init=False, repr=False, compare=False)      # _param_layout
 
     def __post_init__(self):
         if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
             raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
-        views = _param_views(self.flat, self.layers)
+        self.layout = _param_layout(self.layers)
+        views = _param_views(self.flat, self.layout)
         for layer, W, b in zip(self.layers, views[::2], views[1::2]):
             layer.W, layer.b = W, b
 
@@ -228,7 +236,8 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
 
 def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> np.ndarray:
     """Exact gradient of the clamped-BCE mean as one fresh vector laid out
-    like `mlp.flat`, written per layer through `_param_views`.
+    like `mlp.flat`, written per layer through `_param_views` and the
+    layout the MLP computed once.
 
     Dropout masks cached by the forward pass are applied identically here;
     rows where the output probability sits on the clamp contribute zero
@@ -244,7 +253,7 @@ def backward(mlp: MLP, cache: ForwardPass, y: np.ndarray) -> np.ndarray:
     inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
     dz = (np.where(inside, p - y, 0.0) / n)[:, None]
     grad = np.empty_like(mlp.flat)
-    views = _param_views(grad, mlp.layers)
+    views = _param_views(grad, mlp.layout)
     for l in range(len(mlp.layers) - 1, -1, -1):
         a_in = cache.inputs[l]
         np.matmul(a_in.T, dz, out=views[2 * l])

@@ -366,6 +366,31 @@ class TestSensitivity:
         assert blobs[0] == blobs[1]
 
 
+def _overcommit_refuses_huge_requests() -> bool:
+    """True where Linux refuses an allocation far above RAM + swap up front
+    (vm.overcommit_memory 0 or 2), so asking for terabytes touches nothing."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _overcommit_refuses_huge_requests(),
+                    reason="a terabyte request could be granted lazily and then touched")
+@pytest.mark.parametrize("argv", [["explain", "--index", "0", "--num-samples"],
+                                  ["sensitivity", "--trajectories"]],
+                         ids=["explain-num-samples", "sensitivity-trajectories"])
+def test_size_flag_too_large_to_allocate_exits_2(small_csv, tmp_path, capsys, argv):
+    """10^11 samples or trajectories asks numpy for ~12.8 TB, which the
+    allocator refuses: exit 2 with one line, not a MemoryError traceback."""
+    model = run_train(small_csv, tmp_path / "run")
+    capsys.readouterr()
+    assert main([*argv, "100000000000", "--model", str(model), "--data", small_csv,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+
+
 def _read_rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
 

@@ -1,9 +1,12 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thyrec.data import (CATEGORICAL, NUMERIC, DegenerateSplitError,
+from synth import write_csv
+from thyrec.data import (CATEGORICAL, NUMERIC, Dataset, DegenerateSplitError,
                          EmptyDatasetError, MissingFileError, RaggedRowError,
                          SchemaMismatchError, TargetNotBinaryError, _numbers,
                          apply_scaler, build_schema, decode_category, encode_with_schema,
@@ -48,6 +51,19 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "Age,Gender,Recurred\n34,F,No\n51,M\n"))
         assert err.value.line == 3
 
+    def test_ragged_row_after_blank_line_reports_file_line(self, tmp_path):
+        """Blank lines count: the short row is on line 4 of the file."""
+        with pytest.raises(RaggedRowError) as err:
+            load_csv(write(tmp_path, "Age,Gender,Recurred\n\n34,F,No\n51,M\n"))
+        assert err.value.line == 4
+
+    def test_ragged_row_after_multiline_record_reports_its_first_line(self, tmp_path):
+        """A quoted cell spanning lines 2-3 moves the next record to line 4;
+        a ragged record is reported at the line it starts on."""
+        with pytest.raises(RaggedRowError) as err:
+            load_csv(write(tmp_path, 'Age,Note,Recurred\n34,"a\nb",No\n51,"c\nd"\n'))
+        assert err.value.line == 4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_csv(str(tmp_path / "nope.csv"))
@@ -55,6 +71,52 @@ class TestLoadCsv:
     def test_quoted_cells(self, tmp_path):
         ds = load_csv(write(tmp_path, 'Age,Note,Recurred\n34,"a, b",No\n51,c,Yes\n'))
         assert ds.rows[0][1] == "a, b"
+
+
+def plain_table(path) -> Dataset:
+    """The table as a plain csv.reader parse builds it: one string per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return Dataset(header=header, rows=rows, targets=[row.pop() for row in rows])
+
+
+class TestOneStringPerValue:
+    """load_csv stores each distinct cell value once; encoding is unchanged."""
+
+    def test_equal_cells_are_one_object(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, n=383, seed=2)
+        ds = load_csv(str(path))
+        cells = [c for row in ds.rows for c in row] + ds.targets
+        assert len({id(c) for c in cells}) == len(set(cells)) < 200
+
+    @pytest.mark.parametrize("n", [383, 5000])
+    def test_encodings_match_a_plain_parse(self, tmp_path, n):
+        path = tmp_path / "t.csv"
+        write_csv(path, n=n, seed=n)
+        ds, plain = load_csv(str(path)), plain_table(path)
+        assert (ds.header, ds.rows, ds.targets) == (plain.header, plain.rows, plain.targets)
+        got, want = label_encode(ds), label_encode(plain)
+        assert got.schema == want.schema
+        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+        got = encode_with_schema(ds.rows, ds.targets, want.schema)
+        want = encode_with_schema(plain.rows, plain.targets, want.schema)
+        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+    def test_retained_memory_is_pointers_not_strings(self, tmp_path):
+        """10,000 rows x 17 cells: ~2.7 MB retained (row lists of pointers),
+        against ~11.3 MB with one string object per cell."""
+        path = tmp_path / "t.csv"
+        write_csv(path, n=10_000, seed=3)
+        load_csv(str(path))                  # imports and codec state outside the trace
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(path))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 10_000
+        assert retained < 5_000_000
 
 
 class TestBuildSchema:
