@@ -8,9 +8,11 @@ serves request mixes in this one process, as a long-lived server would: each
 mix is 4 LIME explanations (default LimeConfig, a seeded random row each) and
 1 Morris screen (default MorrisConfig) of the training rows. After --warmup
 untimed mixes it runs --rounds rounds of --mixes mixes and prints one JSON
-object: the median wall time per request kind over all timed requests, and
-the minor page faults per mix of each round, read from
-resource.getrusage(RUSAGE_SELF).ru_minflt around the round.
+object: the median wall time and the median minor page faults per request
+kind over all timed requests, and per round the minor page faults per mix
+and per request of each kind. Faults are read from
+resource.getrusage(RUSAGE_SELF).ru_minflt around each request and each
+round, so a change that moves faults from one kind to the other shows.
 
 Fault counts depend on the C library's allocator (glibc's dynamic mmap and
 trim thresholds) and on the BLAS build and its thread count
@@ -57,6 +59,7 @@ def main() -> None:
     X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])
     rng = random.Random(args.seed)
     times: dict[str, list[float]] = {"explain": [], "screen": []}
+    faults: dict[str, list[int]] = {"explain": [], "screen": []}
 
     def predict(X):
         return predict_proba(artifact.mlp, X)
@@ -64,6 +67,7 @@ def main() -> None:
     def mix(timed: bool) -> None:
         for kind in ["explain"] * EXPLAINS_PER_SCREEN + ["screen"]:
             seed = rng.randrange(2**31)
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             if kind == "explain":
                 row = rng.randrange(len(X_all))
@@ -75,23 +79,32 @@ def main() -> None:
                                feature_names=artifact.schema.feature_names)
             if timed:
                 times[kind].append(time.perf_counter() - start)
+                faults[kind].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                    - minflt)
 
     for _ in range(args.warmup):
         mix(timed=False)
-    faults_per_mix = []
+    per_round: dict[str, list[float]] = {"mix": [], "explain": [], "screen": []}
     for _ in range(args.rounds):
+        first = {kind: len(faults[kind]) for kind in faults}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(args.mixes):
             mix(timed=True)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        faults_per_mix.append(round((after - before) / args.mixes, 2))
+        per_round["mix"].append(round((after - before) / args.mixes, 2))
+        for kind in faults:
+            per_round[kind].append(round(statistics.fmean(faults[kind][first[kind]:]), 2))
 
     print(json.dumps({
         "model": args.model, "data": args.data, "seed": args.seed,
         "rounds": args.rounds, "mixes_per_round": args.mixes,
         "explain_p50_ms": round(statistics.median(times["explain"]) * 1e3, 4),
         "screen_p50_ms": round(statistics.median(times["screen"]) * 1e3, 4),
-        "minor_faults_per_mix": faults_per_mix,
+        "explain_minor_faults_p50": statistics.median(faults["explain"]),
+        "screen_minor_faults_p50": statistics.median(faults["screen"]),
+        "minor_faults_per_mix": per_round["mix"],
+        "minor_faults_per_explain": per_round["explain"],
+        "minor_faults_per_screen": per_round["screen"],
     }, indent=1))
 
 

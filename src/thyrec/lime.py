@@ -10,6 +10,12 @@ Each perturbed cell is a training value drawn uniformly and independently,
 so perturbed rows lie on the training manifold; a draw in the instance's
 bin keeps the instance's value. Row 0 is the instance itself, and the
 model's output on it is the reported P(class=1).
+
+An explanation's four (num_samples, d) arrays (the interpretable and model
+space samples, the centred and the weighted design) live in per-thread
+buffers from `neural.thread_buffers`, reused by the thread's next explanation
+of the same shape: 4 * num_samples * d * 8 bytes, about 2.6 MB at 5,000
+samples and 16 features.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NUMERIC, DataError, FeatureSchema, Scaler, decode_category
+from .neural import PREDICT_ROWS, thread_buffers
 
 
 class SingularSystemError(ValueError):
@@ -63,7 +70,7 @@ def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):
 class PerturbationStats:
     edges: list[np.ndarray | None]   # from fit_discretizer
     X_train: np.ndarray              # (n, d) training rows, model space
-    codes: np.ndarray                # (n, d) bin code of every training cell
+    codes: np.ndarray                # (n, d) float64 bin code of every training cell
 
 
 @dataclass
@@ -106,14 +113,19 @@ def fit_discretizer(X_train: np.ndarray,
 
 def build_stats(X_train: np.ndarray, edges: list[np.ndarray | None]) -> PerturbationStats:
     """The training rows and the bin code of each of their cells, from which
-    perturbations are drawn."""
+    perturbations are drawn. Codes are float64 whatever the feature kinds, so
+    the sampler gathers them straight into its float64 output."""
     X_train = np.asarray(X_train, dtype=np.float64)
-    codes = np.column_stack([bin_codes(e, col) for e, col in zip(edges, X_train.T)])
+    codes = np.empty(X_train.shape)
+    for j, (e, col) in enumerate(zip(edges, X_train.T)):
+        codes[:, j] = bin_codes(e, col)
     return PerturbationStats(edges=edges, X_train=X_train, codes=codes)
 
 
 def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                         rng: np.random.Generator,
+                         out: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n perturbed samples around the instance.
 
     Returns (Z, Z_model): Z is the n x d binary interpretable matrix whose
@@ -121,22 +133,47 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
     model-space rows. Every other cell takes the value of an independently
     drawn training row; where that value's bin matches the instance's, Z is 1
     and the model value is the instance's own, otherwise Z is 0.
+
+    The training rows are one (n - 1, d) stream of rng.integers, drawn in
+    blocks of PREDICT_ROWS rows (the same numbers as one whole draw); each
+    block becomes flat indices into the (n_train, d) tables in place and is
+    gathered with np.take. `out`, two C-contiguous float64 (n, d) arrays,
+    receives (Z, Z_model) and is returned; without it they are fresh.
     """
     if n < 2:
         raise ValueError("need n >= 2 perturbations")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = instance.shape[0]
-    inst_codes = [bin_codes(e, v) for e, v in zip(stats.edges, instance)]
-    rows, cols = rng.integers(0, len(stats.codes), size=(n - 1, d)), np.arange(d)
-    match = np.vstack([np.ones(d, dtype=bool), stats.codes[rows, cols] == inst_codes])
-    drawn = np.vstack([instance, stats.X_train[rows, cols]])
-    return match.astype(np.float64), np.where(match, instance, drawn)
+    inst_codes = np.array([bin_codes(e, v) for e, v in zip(stats.edges, instance)],
+                          dtype=np.float64)
+    Z, Zm = (np.empty((n, d)), np.empty((n, d))) if out is None else out
+    Z[0], Zm[0] = 1.0, instance
+    cols = np.arange(d)
+    for lo in range(1, n, PREDICT_ROWS):
+        z, zm = Z[lo:lo + PREDICT_ROWS], Zm[lo:lo + PREDICT_ROWS]
+        flat = rng.integers(0, len(stats.codes), size=z.shape)
+        flat *= d
+        flat += cols
+        # every index is in range; mode "raise" would copy through a temporary out
+        np.take(stats.codes, flat, out=z, mode="clip")
+        match = np.equal(z, inst_codes)
+        np.take(stats.X_train, flat, out=zm, mode="clip")
+        np.copyto(zm, instance, where=match)
+        np.copyto(z, match)
+    return Z, Zm
 
 
 def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray | float:
     """exp(-distance^2 / width^2) over Euclidean distance between
     interpretable rows."""
     return np.exp(-np.square(distance) / (width * width))
+
+
+def _buffers(n: int, d: int) -> list[np.ndarray]:
+    """This thread's LIME buffers, four (n, d) arrays: the interpretable and
+    the model-space samples of `explain`, then the centred and the weighted
+    design of `fit_surrogate`."""
+    return thread_buffers("lime", [(n, d)] * 4)
 
 
 def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray,
@@ -146,7 +183,8 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     Solves (Zc' W Zc + lambda I) beta = Zc' W yc after weighted centering.
     Weights are normalized to mean 1 first, so scaling all weights by a
     constant leaves the fit unchanged. Returns (coefficients, intercept,
-    weighted R^2 of the fit).
+    weighted R^2 of the fit). The centred and the weighted design are
+    written into this thread's LIME buffers (see `_buffers`).
     """
     Z = np.asarray(Z, dtype=np.float64)
     w = np.asarray(sample_weights, dtype=np.float64)
@@ -160,9 +198,10 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     sw = wn / wn.sum()
     z_bar = sw @ Z
     y_bar = float(sw @ y)
-    Zc = Z - z_bar
+    _, _, Zc, ZcW = _buffers(*Z.shape)
+    np.subtract(Z, z_bar, out=Zc)
     yc = y - y_bar
-    ZcW_T = (Zc * wn[:, None]).T
+    ZcW_T = np.multiply(Zc, wn[:, None], out=ZcW).T
     A = ZcW_T @ Zc + ridge_lambda * np.eye(d)
     rhs = ZcW_T @ yc
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(A) < d:
@@ -178,18 +217,21 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
 
 def _descriptor(j: int, instance: np.ndarray, edges: np.ndarray | None,
                 schema: FeatureSchema | None, scaler: Scaler | None) -> str:
+    """The instance's category or quartile bin of feature j, in the table's
+    units: codes and bin edges are mapped back through the scaler."""
     name = schema.features[j].name if schema is not None else f"f{j}"
+
+    def unscale(v):
+        return v if scaler is None else v * scaler.stds[j] + scaler.means[j]
+
     if edges is None:     # categorical, so a schema is present
-        code = instance[j]
-        if scaler is not None:
-            code = code * scaler.stds[j] + scaler.means[j]
-        return f"{name} = {decode_category(schema, j, code)}"
+        return f"{name} = {decode_category(schema, j, unscale(instance[j]))}"
     b = bin_codes(edges, instance[j])
     if b == 0:
-        return f"{name} <= {edges[0]:.2f}"
+        return f"{name} <= {unscale(edges[0]):.2f}"
     if b == len(edges):
-        return f"{name} > {edges[-1]:.2f}"
-    return f"{edges[b - 1]:.2f} < {name} <= {edges[b]:.2f}"
+        return f"{name} > {unscale(edges[-1]):.2f}"
+    return f"{unscale(edges[b - 1]):.2f} < {name} <= {unscale(edges[b]):.2f}"
 
 
 def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
@@ -210,7 +252,8 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     rng = np.random.default_rng(config.seed)
     edges = fit_discretizer(X_train, schema)
     stats = build_stats(X_train, edges)
-    Z, Zm = sample_perturbations(instance, config.num_samples, stats, rng)
+    Z, Zm, _, _ = _buffers(config.num_samples, d)
+    sample_perturbations(instance, config.num_samples, stats, rng, out=(Z, Zm))
     width = config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
     # Euclidean distance to the all-ones instance row; Z is 0/1, so the sum of
     # squared differences is the count of zeros, d - Z.sum(axis=1), exactly

@@ -9,7 +9,11 @@ effect and sigma the sample standard deviation across trajectories.
 
 A screen draws its random stream in three whole-array calls (every base
 point, every direction, every order) and builds all trajectories with one
-broadcast. The model sees every point in one call.
+broadcast. The model sees every point in one call. The trajectories, the
+mapped points and the step differences, each r * (d + 1) * d or r * d * d
+floats, live in per-thread buffers from `neural.thread_buffers`, reused by
+the thread's next screen of the same shape (about 0.6 MB at 100
+trajectories of 16 features).
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .neural import thread_buffers
 
 
 class NonFiniteModelOutputError(ValueError):
@@ -63,9 +69,11 @@ class FeatureRanges:
     def degenerate(self) -> np.ndarray:
         return (self.hi - self.lo) < 1e-12
 
-    def map_unit(self, U: np.ndarray) -> np.ndarray:
+    def map_unit(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """lo + U * span, written into `out` when given."""
         span = np.where(self.degenerate, 0.0, self.hi - self.lo)
-        return self.lo + U * span
+        X = np.multiply(U, span, out=out)
+        return np.add(self.lo, X, out=X)
 
 
 @dataclass
@@ -83,14 +91,23 @@ class MorrisResult:
         return self.trajectories * (len(self.feature_names) + 1)
 
 
-def generate_trajectories(d: int, config: MorrisConfig,
-                          rng: np.random.Generator) -> np.ndarray:
+def _buffers(r: int, n: int, d: int) -> list[np.ndarray]:
+    """This thread's Morris buffers for r trajectories of n points in d
+    features: the (r, n, d) trajectories, their (r * n, d) model-space
+    points and the (r, n - 1, d) step differences."""
+    return thread_buffers("morris", [(r, n, d), (r * n, d), (r, n - 1, d)])
+
+
+def generate_trajectories(d: int, config: MorrisConfig, rng: np.random.Generator,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """r trajectories of d+1 points each in [0, 1]^d.
 
     Base points are drawn from the grid {0, 1/(p-1), ..., 1-delta}; each
     trajectory perturbs every coordinate exactly once, by +delta or -delta,
     in a random order. The stream is three whole-array draws, in this order:
     the (r, d) base levels, the (r, d) directions and the (r, d) orders.
+    `out`, an (r, d+1, d) float64 array, receives the trajectories and is
+    returned; without it they are fresh.
     """
     if d < 1:
         raise ValueError("need at least one feature")
@@ -104,9 +121,10 @@ def generate_trajectories(d: int, config: MorrisConfig,
     # a coordinate stepping down starts at base + delta and ends at base;
     # row k holds the end value of every coordinate among the first k moved
     moved = np.arange(d + 1)[:, None] > np.argsort(order, axis=1)[:, None, :]
-    trajs = np.where(moved, (base + delta * up)[:, None, :],
-                     (base + delta * ~up)[:, None, :])
-    return np.clip(trajs, 0.0, 1.0)
+    trajs = np.empty((r, d + 1, d)) if out is None else out
+    trajs[...] = np.clip(base + delta * ~up, 0.0, 1.0)[:, None, :]
+    np.copyto(trajs, np.clip(base + delta * up, 0.0, 1.0)[:, None, :], where=moved)
+    return trajs
 
 
 def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
@@ -114,19 +132,26 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     """r x d matrix of elementary effects.
 
     f maps a batch of model-space rows to a vector of outputs, one finite
-    value per row. It is called once, on all r * (d + 1) points; bounding
-    its memory is f's business (`neural.predict_proba` works in fixed
-    blocks). The divisor is the signed configured delta, not the recomputed
-    float difference, so exact-linearity identities survive in f64.
-    Degenerate features get EE = 0.
+    value per row. It is called once, on all r * (d + 1) points, which it
+    may read only during the call: they are this thread's Morris buffer.
+    Bounding its memory is f's business (`neural.predict_proba` works in
+    fixed blocks). The divisor is the signed configured delta, not the
+    recomputed float difference, so exact-linearity identities survive in
+    f64. Degenerate features get EE = 0.
     """
     r, n, d = trajectories.shape
-    values = _outputs(f, ranges.map_unit(trajectories.reshape(r * n, d))).reshape(r, n)
-    diffs = np.diff(trajectories, axis=1)                # r x d steps x d coordinates
-    moved = np.argmax(np.abs(diffs), axis=2)             # coordinate moved at each step
-    step = np.take_along_axis(diffs, moved[..., None], axis=2)[..., 0]
-    ee = np.zeros(moved.shape)
-    np.put_along_axis(ee, moved, np.diff(values, axis=1) / np.copysign(delta, step), axis=1)
+    _, points, diffs = _buffers(r, n, d)
+    values = _outputs(f, ranges.map_unit(trajectories.reshape(r * n, d), out=points))
+    values = values.reshape(r, n)
+    # |step| per coordinate, then the coordinate moved at each step and the
+    # signed step it made (r x d steps x d coordinates)
+    np.abs(np.subtract(trajectories[:, 1:], trajectories[:, :-1], out=diffs), out=diffs)
+    moved = np.argmax(diffs, axis=2)[..., None]
+    step = (np.take_along_axis(trajectories[:, 1:], moved, axis=2)
+            - np.take_along_axis(trajectories[:, :-1], moved, axis=2))[..., 0]
+    ee = np.zeros((r, n - 1))
+    np.put_along_axis(ee, moved[..., 0], np.diff(values, axis=1) / np.copysign(delta, step),
+                      axis=1)
     ee[:, ranges.degenerate] = 0.0
     return ee
 
@@ -177,6 +202,7 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
         raise ValueError(f"{len(names)} feature names for {d} features")
     rng = np.random.default_rng(config.seed)
     ranges = FeatureRanges.from_data(X)
-    trajectories = generate_trajectories(d, config, rng)
+    trajectories = generate_trajectories(d, config, rng,
+                                         out=_buffers(config.trajectories, d + 1, d)[0])
     ee = elementary_effects(predict_fn, trajectories, ranges, config.effective_delta)
     return aggregate(ee, names, ranges.degenerate)

@@ -9,11 +9,12 @@ the MLP, and training works on that layout throughout: `backward` returns one
 gradient vector shaped like it, and Adam steps it as one vector with moments
 of the same shape. The forward pass works in place and caches only each
 layer's input. Inference runs the forward pass over fixed blocks of
-PREDICT_ROWS rows, writing each layer's activations into a per-thread
-workspace: one (PREDICT_ROWS, width) buffer per layer, allocated the first
-time a thread predicts with a given layout and reused by every later call
-(about 1.8 MB for the 128/64/32/1 layout). Its memory is already mapped, so a
-long-lived process stops faulting activation pages in on every block.
+PREDICT_ROWS rows, writing each layer's activations into per-thread buffers
+from `thread_buffers`: one (PREDICT_ROWS, width) buffer per layer, allocated
+the first time a thread predicts with a given layout and reused by every
+later call (about 1.8 MB for the 128/64/32/1 layout). Their memory is already
+mapped, so a long-lived process stops faulting activation pages in on every
+block. LIME and Morris keep their per-request arrays the same way.
 """
 
 from __future__ import annotations
@@ -38,10 +39,23 @@ VAL_FROM_TEST_AS_PAPER = "test-as-paper"
 # rows follow it.
 PREDICT_ROWS = 1024
 
-# Per-thread inference workspace: layer widths -> one (PREDICT_ROWS, width)
-# buffer per layer. Thread-local, so concurrent predicts need no lock, and a
+# Per-thread workspace: key -> that key's list of float64 buffers (see
+# thread_buffers). Thread-local, so concurrent calls need no lock, and a
 # thread's buffers are freed when the thread ends.
 _workspace = threading.local()
+
+
+def thread_buffers(key, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """This thread's float64 buffers under `key`, one per shape in `shapes`:
+    allocated the first time the thread asks for `key`, reused while it asks
+    with the same shapes, and replaced when the shapes change. The next call
+    in the thread with the same key and shapes overwrites them, so nothing
+    returned to a caller may alias them."""
+    held = _workspace.__dict__.setdefault("buffers", {})
+    buffers = held.get(key)
+    if buffers is None or [b.shape for b in buffers] != shapes:
+        buffers = held[key] = [np.empty(shape) for shape in shapes]
+    return buffers
 
 
 @dataclass
@@ -175,12 +189,10 @@ def init_mlp(d_in: int, hidden: list[int], seed: int, dropout: float = 0.5) -> M
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+    never overflows; exp(-|z|) is the exp of both branches."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward(mlp: MLP, X: np.ndarray, train: bool = False,
@@ -294,21 +306,12 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     param -= np.divide(step, denom, out=step)
 
 
-def _block_buffers(mlp: MLP) -> list[np.ndarray]:
-    """This thread's (PREDICT_ROWS, width) buffer per layer of mlp's layout,
-    allocated on the thread's first predict with that layout."""
-    widths = tuple(layer.W.shape[1] for layer in mlp.layers)
-    by_widths = _workspace.__dict__.setdefault("by_widths", {})
-    if widths not in by_widths:
-        by_widths[widths] = [np.empty((PREDICT_ROWS, w)) for w in widths]
-    return by_widths[widths]
-
-
 def predict_proba(mlp: MLP, X: np.ndarray) -> np.ndarray:
     """P(class=1) per row, inference mode (no dropout, deterministic).
 
     The rows go through `forward` in blocks X[lo:lo + PREDICT_ROWS], lo a
-    multiple of PREDICT_ROWS, with the calling thread's workspace as `out`,
+    multiple of PREDICT_ROWS, with the calling thread's buffers for mlp's
+    layout as `out` (one set per layout, kept side by side),
     and each block's probabilities are copied into one fresh (n,) output. So
     only one block's activations exist at a time, they reuse memory earlier
     calls in the thread already touched, and nothing returned aliases them.
@@ -316,7 +319,8 @@ def predict_proba(mlp: MLP, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != mlp.d_in:
         raise ValueError(f"dimension mismatch: X is {X.shape}, model expects (n, {mlp.d_in})")
-    buffers = _block_buffers(mlp)
+    widths = tuple(layer.W.shape[1] for layer in mlp.layers)
+    buffers = thread_buffers(("predict", widths), [(PREDICT_ROWS, w) for w in widths])
     probs = np.empty(len(X))
     for lo in range(0, len(X), PREDICT_ROWS):
         probs[lo:lo + PREDICT_ROWS] = forward(mlp, X[lo:lo + PREDICT_ROWS], out=buffers).probs

@@ -278,6 +278,26 @@ class TestExplain:
         assert len(err) == 1 and "kernel_width" in err[0]
         assert not (tmp_path / "exp").exists()
 
+    def test_age_thresholds_in_years(self, tmp_path, capsys):
+        """Numeric bins are printed in the table's units: every Age edge lies
+        within the table's ages, not in standardized units (row 0, Age 56,
+        once read `Age > 0.61`)."""
+        table = tmp_path / "t.csv"
+        write_csv(table, n=383, seed=1)
+        ages = [float(row[0]) for row in _read_rows(table.read_text())[1:]]
+        model = run_train(str(table), tmp_path / "run")
+        out = tmp_path / "exp"
+        assert main(["explain", "--model", str(model), "--data", str(table), "--index", "0",
+                     "--num-samples", "200", "--num-features", "16", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        report = json.loads((out / "explanation.json").read_text())
+        bars = _read_rows((out / "explanation_bars.csv").read_text())[1:]
+        texts = {w["feature"] for w in report["feature_weights"]} | {b[0] for b in bars}
+        age = [t for t in texts if "Age" in t]
+        assert len(age) == 1 and age[0] in stdout
+        edges = [float(tok) for tok in age[0].split() if tok[0].isdigit() or tok[0] == "-"]
+        assert edges and all(min(ages) <= e <= max(ages) for e in edges), age[0]
+
     def test_index_out_of_range_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")
         assert main(["explain", "--model", str(model), "--data", small_csv,
@@ -378,11 +398,14 @@ def _overcommit_refuses_huge_requests() -> bool:
 @pytest.mark.skipif(not _overcommit_refuses_huge_requests(),
                     reason="a terabyte request could be granted lazily and then touched")
 @pytest.mark.parametrize("argv", [["explain", "--index", "0", "--num-samples"],
-                                  ["sensitivity", "--trajectories"]],
-                         ids=["explain-num-samples", "sensitivity-trajectories"])
+                                  ["sensitivity", "--trajectories"],
+                                  ["sensitivity", "--levels"]],
+                         ids=["explain-num-samples", "sensitivity-trajectories",
+                              "sensitivity-levels"])
 def test_size_flag_too_large_to_allocate_exits_2(small_csv, tmp_path, capsys, argv):
-    """10^11 samples or trajectories asks numpy for ~12.8 TB, which the
-    allocator refuses: exit 2 with one line, not a MemoryError traceback."""
+    """10^11 samples or trajectories asks numpy for ~12.8 TB, and 10^11
+    levels for an 800 GB grid, which the allocator refuses: exit 2 with one
+    line, not a MemoryError traceback."""
     model = run_train(small_csv, tmp_path / "run")
     capsys.readouterr()
     assert main([*argv, "100000000000", "--model", str(model), "--data", small_csv,

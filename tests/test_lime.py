@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from thyrec.data import CATEGORICAL, Feature, FeatureSchema, Scaler
 from thyrec.lime import (LimeConfig, SingularSystemError, bin_codes, build_stats,
                          explain, fit_discretizer, fit_surrogate, kernel_weight,
                          sample_perturbations)
+from thyrec.morris import MorrisConfig, analyze
+from thyrec.neural import init_mlp, predict_proba
 
 
 def toy_schema(kinds_vocabs):
@@ -98,6 +103,59 @@ class TestSamplePerturbations:
         stats = build_stats(X, fit_discretizer(X, schema))
         Z, _ = sample_perturbations(X[0], 100, stats, np.random.default_rng(4))
         assert np.all(Z[:, 1] == 1.0)
+
+
+def whole_array_sampler(instance, n, stats, rng):
+    """The sampler before blocked draws: one (n - 1, d) draw of training
+    rows, gathered with 2-D fancy indexing."""
+    d = instance.shape[0]
+    inst_codes = [bin_codes(e, v) for e, v in zip(stats.edges, instance)]
+    rows, cols = rng.integers(0, len(stats.codes), size=(n - 1, d)), np.arange(d)
+    match = np.vstack([np.ones(d, dtype=bool), stats.codes[rows, cols] == inst_codes])
+    drawn = np.vstack([instance, stats.X_train[rows, cols]])
+    return match.astype(np.float64), np.where(match, instance, drawn)
+
+
+def mixed_table(n_rows, d, seed):
+    """Numeric columns at even positions, 3-level categorical ones at odd
+    positions; both standardized-looking."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.normal(size=n_rows) if j % 2 == 0
+                         else rng.integers(0, 3, size=n_rows) * 0.9 - 0.8
+                         for j in range(d)])
+    schema = toy_schema([("numeric", ()) if j % 2 == 0 else (CATEGORICAL, ("a", "b", "c"))
+                         for j in range(d)])
+    return X, schema
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("bound", [245, 30_640, 2**31])
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_block_draws_are_one_stream(self, bound, d):
+        """What blocked sampling rests on: rng.integers drawn in row blocks
+        gives the numbers of one whole draw and leaves the same state."""
+        whole_rng = np.random.default_rng(bound + d)
+        whole = whole_rng.integers(0, bound, size=(2500, d))
+        for block in (1, 7, 1024):
+            rng = np.random.default_rng(bound + d)
+            parts = [rng.integers(0, bound, size=(min(block, 2500 - lo), d))
+                     for lo in range(0, 2500, block)]
+            assert np.array_equal(np.concatenate(parts), whole), block
+            assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 10, 1024, 1025, 2049, 5000])
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_matches_whole_array_sampler(self, n, d):
+        X, schema = mixed_table(245, d, seed=n + d)
+        stats = build_stats(X, fit_discretizer(X, schema))
+        instance = X[7]
+        want = whole_array_sampler(instance, n, stats, np.random.default_rng(n))
+        fresh = sample_perturbations(instance, n, stats, np.random.default_rng(n))
+        out = (np.full((n, d), np.nan), np.full((n, d), np.nan))
+        into = sample_perturbations(instance, n, stats, np.random.default_rng(n), out=out)
+        assert into[0] is out[0] and into[1] is out[1]
+        for got in (fresh, into):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestBuildStats:
@@ -383,3 +441,100 @@ class TestExplain:
         assert any("c0" in t for t in texts)
         assert any(t.startswith("c1 = ") for t in texts)
         assert exp.instance_index == 0
+
+    def test_numeric_bins_in_table_units(self):
+        """Bin edges are fitted in model space and printed in the table's:
+        ages 20..80 standardized with mean 50 and std 10 have quartiles 35,
+        50 and 65 years."""
+        ages = np.arange(20.0, 81.0)
+        X = np.column_stack([(ages - 50.0) / 10.0, np.tile([-1.0, 1.0], 31)[:61]])
+        schema = toy_schema([("numeric", ()), (CATEGORICAL, ("No", "Yes"))])
+        scaler = Scaler(means=np.array([50.0, 0.5]), stds=np.array([10.0, 0.5]))
+        config = LimeConfig(num_samples=100, num_features=2, seed=0)
+        texts = {}
+        for age in (20, 45, 80):
+            exp = explain(lambda Z: Z[:, 0] * 0.1 + 0.5, X[age - 20], X, config,
+                          schema=schema, scaler=scaler)
+            texts[age] = {f for f, _ in exp.feature_weights}
+        assert texts[20] == {"c0 <= 35.00", "c1 = No"}
+        assert texts[45] == {"35.00 < c0 <= 50.00", "c1 = Yes"}
+        assert texts[80] == {"c0 > 65.00", "c1 = No"}
+
+
+def screen_bytes(result) -> bytes:
+    return b"".join(a.tobytes() for a in (result.mu, result.mu_star, result.sigma))
+
+
+class TestThreadBuffers:
+    """explain and analyze keep their large arrays in per-thread buffers
+    reused from call to call; nothing they return aliases them."""
+
+    @staticmethod
+    def model():
+        mlp = init_mlp(16, [128, 64, 32], seed=3)
+        return lambda Z: predict_proba(mlp, Z)
+
+    @staticmethod
+    def warm_peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_warm_explain_allocates_no_sample_arrays(self):
+        f, X = self.model(), np.random.default_rng(0).normal(size=(300, 16))
+        peak = self.warm_peak(lambda: explain(f, X[0], X, LimeConfig(seed=1)))
+        # fresh (5000, 16) samples and designs took ~2.9 MB; the buffers ~0.37 MB
+        assert peak < 1_000_000
+
+    def test_warm_analyze_allocates_no_trajectory_arrays(self):
+        f, X = self.model(), np.random.default_rng(0).normal(size=(300, 16))
+        peak = self.warm_peak(lambda: analyze(f, X, MorrisConfig(seed=1)))
+        # fresh trajectories, points and differences took ~720 KB; buffers ~200 KB
+        assert peak < 400_000
+
+    def test_result_unchanged_by_later_call(self):
+        f, X = self.model(), np.random.default_rng(1).normal(size=(120, 16))
+        stats = build_stats(X, fit_discretizer(X, None))
+        Z, Zm = sample_perturbations(X[0], 300, stats, np.random.default_rng(0))
+        screen = analyze(f, X, MorrisConfig(trajectories=10, seed=0))
+        exp = explain(f, X[0], X, LimeConfig(num_samples=300, seed=0))
+        before = [Z.tobytes(), Zm.tobytes(), screen_bytes(screen), repr(exp)]
+        sample_perturbations(X[1], 300, stats, np.random.default_rng(1))
+        analyze(f, X[::-1].copy(), MorrisConfig(trajectories=10, seed=1))
+        explain(f, X[1], X, LimeConfig(num_samples=300, seed=1))
+        assert before == [Z.tobytes(), Zm.tobytes(), screen_bytes(screen), repr(exp)]
+
+    def test_concurrent_threads_match_serial_calls(self):
+        """Four threads, two explaining (different sample counts) and two
+        screening (different trajectory counts), with a short switch
+        interval, give the bytes of the same calls made one after another."""
+        f, X = self.model(), np.random.default_rng(2).normal(size=(200, 16))
+        jobs = [lambda: repr(explain(f, X[3], X, LimeConfig(num_samples=1500, seed=4))),
+                lambda: repr(explain(f, X[5], X, LimeConfig(num_samples=2100, seed=5))),
+                lambda: screen_bytes(analyze(f, X, MorrisConfig(trajectories=30, seed=6))),
+                lambda: screen_bytes(analyze(f, X, MorrisConfig(trajectories=40, seed=7)))]
+        serial = [job() for job in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            start.wait(timeout=30)
+            for _ in range(3):
+                results[i].append(jobs[i]())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * 3 for want in serial]

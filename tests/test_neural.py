@@ -350,6 +350,30 @@ class TestPredict:
             predict_proba(mlp, np.ones(shape))
 
 
+def masked_sigmoid(z):
+    """The output sigmoid before it went branch-free: boolean-mask indexing
+    into one output array."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_formula():
+    """Bit for bit on every non-NaN input: a million values across the
+    float range plus signed zeros, infinities, the exp underflow edge and
+    subnormals, shaped like the output layer's (n, 1) pre-activations."""
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0,
+                        709.8, -709.8, 36.7, -36.7, tiny, -tiny, 1e-310, -1e-310])
+    z = np.concatenate([special, rng.normal(scale=10.0, size=500_000),
+                        rng.uniform(-800.0, 800.0, size=499_984)])[:, None]
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 def blockwise_reference(mlp, X):
     """predict_proba's blocks run through `forward` without a workspace."""
     blocks = [forward(mlp, X[lo:lo + PREDICT_ROWS]).probs

@@ -78,5 +78,8 @@ def test_request_faults_reports_its_keys(workdir, train_spans):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert set(report) == {"model", "data", "seed", "rounds", "mixes_per_round",
-                           "explain_p50_ms", "screen_p50_ms", "minor_faults_per_mix"}
-    assert len(report["minor_faults_per_mix"]) == 1
+                           "explain_p50_ms", "screen_p50_ms", "explain_minor_faults_p50",
+                           "screen_minor_faults_p50", "minor_faults_per_mix",
+                           "minor_faults_per_explain", "minor_faults_per_screen"}
+    for kind in ("mix", "explain", "screen"):
+        assert len(report[f"minor_faults_per_{kind}"]) == 1
