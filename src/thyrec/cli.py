@@ -23,12 +23,12 @@ from .data import (DataError, SchemaMismatchError, apply_scaler, encode_with_sch
                    fit_scaler, label_encode, load_csv, split, split_digest,
                    stratified_split)
 from .lime import LimeConfig, explain
-from .metrics import compute_metrics, confusion
+from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
 from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, init_mlp,
                      predict_label, predict_proba, train)
-from .persist import (ArtifactError, EvalResult, ModelArtifact, SplitInfo,
-                      eval_to_dict, load_model, save_model)
+from .persist import (ArtifactError, ModelArtifact, SplitInfo, eval_to_dict, load_model,
+                      save_model)
 
 HIDDEN_LAYOUT = [128, 64, 32]
 TRAIN_RATIO = 0.8
@@ -62,19 +62,19 @@ def _metric_cell(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _print_metrics_table(results: dict[str, EvalResult]) -> None:
-    columns = {n: r.metrics.as_dict() for n, r in results.items()}
+def _print_metrics_table(results: dict[str, ConfusionMatrix]) -> None:
+    columns = {n: compute_metrics(cm).as_dict() for n, cm in results.items()}
     print(f"{'metric':<14}" + "".join(f"{n:>12}" for n in columns))
     for metric in next(iter(columns.values())):
         row = "".join(f"{_metric_cell(col[metric]):>12}" for col in columns.values())
         print(f"{metric:<14}{row}")
-    for n, r in results.items():
-        counts = " ".join(f"{k}={v}" for k, v in asdict(r.confusion).items())
+    for n, cm in results.items():
+        counts = " ".join(f"{k}={v}" for k, v in asdict(cm).items())
         print(f"confusion[{n}]  {counts}")
 
 
-def _report_dict(results: dict[str, EvalResult]) -> dict:
-    return {name: eval_to_dict(r, REPORT_DECIMALS) for name, r in results.items()}
+def _report_dict(results: dict[str, ConfusionMatrix]) -> dict:
+    return {name: eval_to_dict(cm, REPORT_DECIMALS) for name, cm in results.items()}
 
 
 def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
@@ -104,9 +104,8 @@ def _recover_split(artifact: ModelArtifact, y: np.ndarray):
     return idx
 
 
-def _evaluate(mlp, X: np.ndarray, y: np.ndarray) -> EvalResult:
-    cm = confusion(y, predict_label(mlp, X))
-    return EvalResult(confusion=cm, metrics=compute_metrics(cm))
+def _evaluate(mlp, X: np.ndarray, y: np.ndarray) -> ConfusionMatrix:
+    return confusion(y, predict_label(mlp, X))
 
 
 def cmd_train(args) -> int:
@@ -252,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier and write the artifact")
     common(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
     p.add_argument("--val-source", choices=[VAL_FROM_TRAIN, VAL_FROM_TEST_AS_PAPER],
-                   default=VAL_FROM_TRAIN)
+                   default=TrainConfig.validation_source)
     p.add_argument("--stratify", action="store_true",
                    help="stratify the train/test split by class")
     p.set_defaults(func=cmd_train)
@@ -270,15 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="LIME-style explanation for one row")
     common(p, model=True)
     p.add_argument("--index", type=int, required=True, help="0-based data row")
-    p.add_argument("--num-samples", type=int, default=5000)
-    p.add_argument("--kernel-width", type=float, default=None)
-    p.add_argument("--num-features", type=int, default=10)
+    p.add_argument("--num-samples", type=int, default=LimeConfig.num_samples)
+    p.add_argument("--kernel-width", type=float, default=LimeConfig.kernel_width)
+    p.add_argument("--num-features", type=int, default=LimeConfig.num_features)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("sensitivity", help="Morris elementary-effects screening")
     common(p, model=True)
-    p.add_argument("--trajectories", type=int, default=100)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--trajectories", type=int, default=MorrisConfig.trajectories)
+    p.add_argument("--levels", type=int, default=MorrisConfig.levels)
     p.set_defaults(func=cmd_sensitivity)
 
     return parser

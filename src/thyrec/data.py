@@ -12,7 +12,6 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -105,11 +104,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def schema(self) -> FeatureSchema:
-        """Inferred from the cells on first use; only training needs it."""
-        return build_schema(self.header, self.rows, self.targets)
-
 
 @dataclass
 class EncodedDataset:
@@ -188,7 +182,8 @@ def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
 def load_csv(path: str) -> Dataset:
     """Load a CSV whose last column is a binary target.
 
-    The header row names the columns; nothing is inferred (see Dataset.schema).
+    The header row names the columns; nothing is inferred (`label_encode` and
+    `build_schema` infer a schema from the cells).
     Blank lines are skipped. A record with the wrong number of cells raises
     RaggedRowError naming the file line the record starts on.
 

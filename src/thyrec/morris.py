@@ -82,9 +82,13 @@ class MorrisResult:
     mu: np.ndarray
     mu_star: np.ndarray
     sigma: np.ndarray
-    ranking: list[str]    # names sorted by mu_star descending, ties by order
     trajectories: int
     degenerate: np.ndarray    # per feature: screened at a constant, EE = 0
+
+    @property
+    def ranking(self) -> list[str]:
+        """Names sorted by mu_star descending, ties in schema order."""
+        return [self.feature_names[j] for j in np.argsort(-self.mu_star, kind="stable")]
 
     @property
     def model_evals(self) -> int:
@@ -168,20 +172,18 @@ def _outputs(f, X: np.ndarray) -> np.ndarray:
 
 def aggregate(ee: np.ndarray, feature_names: list[str],
               degenerate: np.ndarray | None = None) -> MorrisResult:
-    """mu / mu_star / sigma per feature plus the mu_star-descending ranking
-    (ties keep schema order). sigma uses the sample (r-1) denominator.
-    degenerate flags the features screened at a constant (default: none)."""
+    """mu / mu_star / sigma per feature; sigma uses the sample (r-1)
+    denominator. degenerate flags the features screened at a constant
+    (default: none)."""
     ee = np.asarray(ee, dtype=np.float64)
     if ee.shape[0] < 2:
         raise TooFewTrajectoriesError("need at least 2 trajectories to aggregate")
     mu = ee.mean(axis=0)
     mu_star = np.abs(ee).mean(axis=0)
     sigma = ee.std(axis=0, ddof=1)
-    order = np.argsort(-mu_star, kind="stable")
     return MorrisResult(
         feature_names=list(feature_names),
         mu=mu, mu_star=mu_star, sigma=sigma,
-        ranking=[feature_names[j] for j in order],
         trajectories=ee.shape[0],
         degenerate=(np.zeros(ee.shape[1], dtype=bool) if degenerate is None
                     else np.asarray(degenerate, dtype=bool)),

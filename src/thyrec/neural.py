@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RELU = "relu"
-SIGMOID = "sigmoid"
-
 # Probability clamp for the loss; matches the common framework epsilon.
 BCE_EPS = 1e-7
 
@@ -62,7 +59,6 @@ def thread_buffers(key, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 class Layer:
     W: np.ndarray          # (d_in, d_out)
     b: np.ndarray          # (d_out,)
-    activation: str        # RELU for hidden layers, SIGMOID for the output
 
 
 def _param_layout(layers: list[Layer]) -> tuple[tuple[slice, tuple[int, ...]], ...]:
@@ -83,12 +79,15 @@ def _param_views(flat: np.ndarray, layout: tuple) -> list[np.ndarray]:
 
 @dataclass
 class MLP:
-    layers: list[Layer]
+    layers: list[Layer]            # ReLU hidden layers, then the sigmoid output
     dropout_rates: list[float]     # one rate per hidden layer
     flat: np.ndarray = field(init=False, repr=False, compare=False)   # every W and b
     layout: tuple = field(init=False, repr=False, compare=False)      # _param_layout
 
     def __post_init__(self):
+        if len(self.dropout_rates) != len(self.layers) - 1:
+            raise ValueError(f"{len(self.dropout_rates)} dropout rates for "
+                             f"{len(self.layers) - 1} hidden layers")
         if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
             raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
         self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
@@ -183,8 +182,7 @@ def init_mlp(d_in: int, hidden: list[int], seed: int, dropout: float = 0.5) -> M
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         W = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append(Layer(W=W, b=np.zeros(fan_out), activation=RELU))
-    layers[-1].activation = SIGMOID
+        layers.append(Layer(W=W, b=np.zeros(fan_out)))
     return MLP(layers=layers, dropout_rates=[dropout] * len(hidden))
 
 
@@ -215,11 +213,12 @@ def forward(mlp: MLP, X: np.ndarray, train: bool = False,
         raise ValueError(f"dimension mismatch: X is {X.shape}, model expects (n, {mlp.d_in})")
     inputs, masks = [], []
     a = X
+    last = len(mlp.layers) - 1
     for l, layer in enumerate(mlp.layers):
         inputs.append(a)
         z = a @ layer.W if out is None else np.matmul(a, layer.W, out=out[l][:len(a)])
         z += layer.b
-        if layer.activation == RELU:
+        if l < last:
             a = np.maximum(z, 0.0, out=z)
             rate = mlp.dropout_rates[l]
             if train and rate > 0.0:

@@ -19,10 +19,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import Feature, FeatureSchema, Scaler
-from .metrics import ConfusionMatrix, MetricsReport
-from .neural import MLP, RELU, SIGMOID, Layer, TrainConfig
+from .metrics import ConfusionMatrix, MetricsReport, compute_metrics
+from .neural import MLP, Layer, TrainConfig
 
 FORMAT_VERSION = 1
+# Each layer's activation as written; a layer's position fixes it.
+RELU = "relu"
+SIGMOID = "sigmoid"
 
 
 class ArtifactError(Exception):
@@ -54,31 +57,25 @@ class SplitInfo:
 
 
 @dataclass
-class EvalResult:
-    confusion: ConfusionMatrix
-    metrics: MetricsReport
-
-
-@dataclass
 class ModelArtifact:
     schema: FeatureSchema
     scaler: Scaler
     mlp: MLP
     train_config: TrainConfig
-    final_metrics: dict[str, EvalResult]   # keys "train" and "test"
+    final_metrics: dict[str, ConfusionMatrix]   # counts under "train" and "test"
     split: SplitInfo
-    format_version: int = FORMAT_VERSION
 
 
-def eval_to_dict(result: EvalResult, decimals: int | None = None) -> dict:
-    """Confusion counts and metrics; decimals rounds the metrics for reports."""
-    return {"confusion": asdict(result.confusion),
-            "metrics": result.metrics.as_dict(decimals)}
+def eval_to_dict(cm: ConfusionMatrix, decimals: int | None = None) -> dict:
+    """Confusion counts and the metrics computed from them; decimals rounds
+    the metrics for reports."""
+    return {"confusion": asdict(cm), "metrics": compute_metrics(cm).as_dict(decimals)}
 
 
 def artifact_to_dict(artifact: ModelArtifact) -> dict:
+    last = len(artifact.mlp.layers) - 1
     return {
-        "format_version": artifact.format_version,
+        "format_version": FORMAT_VERSION,
         "schema": asdict(artifact.schema),
         "scaler": {
             "means": artifact.scaler.means.tolist(),
@@ -88,16 +85,16 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
             {
                 "d_in": layer.W.shape[0],
                 "d_out": layer.W.shape[1],
-                "activation": layer.activation,
+                "activation": SIGMOID if i == last else RELU,
                 "weights": layer.W.reshape(-1).tolist(),   # row-major
                 "bias": layer.b.tolist(),
             }
-            for layer in artifact.mlp.layers
+            for i, layer in enumerate(artifact.mlp.layers)
         ],
         "dropout_rates": list(artifact.mlp.dropout_rates),
         "train_config": asdict(artifact.train_config),
-        "final_metrics": {name: eval_to_dict(result)
-                          for name, result in artifact.final_metrics.items()},
+        "final_metrics": {name: eval_to_dict(cm)
+                          for name, cm in artifact.final_metrics.items()},
         "split": asdict(artifact.split),
     }
 
@@ -193,32 +190,30 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         if activation != expected:
             raise CorruptArtifactError(f"layer {i}: activation {activation!r}, "
                                        f"expected {expected!r}")
-        layers.append(Layer(weights.reshape(d_in, d_out), bias, activation))
+        layers.append(Layer(weights.reshape(d_in, d_out), bias))
         prev_out = d_out
     if not layers:
         raise CorruptArtifactError("artifact has no layers")
     if layers[0].W.shape[0] != d:
         raise CorruptArtifactError("first layer width does not match the schema")
 
-    dropout_rates = _array(raw, "dropout_rates", "artifact").tolist()
-    if len(dropout_rates) != len(layers) - 1:
-        raise CorruptArtifactError(
-            f"{len(dropout_rates)} dropout rates for {len(layers) - 1} hidden layers")
-
     final = {}
     for name, ed in _get(raw, "final_metrics", "artifact", dict).items():
-        final[name] = EvalResult(
-            _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion"),
-            _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics"))
+        cm = _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion")
+        metrics = _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics")
+        if metrics != compute_metrics(cm):
+            raise CorruptArtifactError(f"final_metrics {name!r}: stored metrics do not "
+                                       f"match their confusion counts")
+        final[name] = cm
 
     return ModelArtifact(
         schema=schema, scaler=scaler,
-        mlp=MLP(layers=layers, dropout_rates=dropout_rates),
+        mlp=MLP(layers=layers,
+                dropout_rates=_array(raw, "dropout_rates", "artifact").tolist()),
         train_config=_record(TrainConfig, _get(raw, "train_config", "artifact"),
                              "train_config"),
         final_metrics=final,
-        split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"),
-        format_version=version)
+        split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"))
 
 
 def load_model(path: str) -> ModelArtifact:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ import thyrec
 from synth import generate_rows, write_csv
 from test_persist import mutate
 from thyrec import data
-from thyrec.cli import main
-from thyrec.neural import predict_proba
+from thyrec.cli import build_parser, main
+from thyrec.lime import LimeConfig
+from thyrec.morris import MorrisConfig
+from thyrec.neural import TrainConfig, predict_proba
 from thyrec.persist import load_model, save_model
 
 
@@ -130,7 +133,7 @@ class TestEvaluate:
         model = run_train(small_csv, tmp_path / "run3")
         fewer = tmp_path / "fewer.csv"
         lines = [",".join(line.split(",")[1:])
-                 for line in open(small_csv, encoding="utf-8").read().splitlines()]
+                 for line in Path(small_csv).read_text(encoding="utf-8").splitlines()]
         fewer.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", "--model", str(model), "--data", str(fewer)]) == 3
 
@@ -160,9 +163,11 @@ class TestEvaluate:
         (("train_config", "beta1"), 1.0),
         (("train_config", "epsilon"), 0.0),
         (("dropout_rates", 0), 1.0),
+        (("final_metrics", "test", "confusion", "tp"), 1000),
+        (("final_metrics", "test", "metrics", "accuracy"), 0.99),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
-            "dropout-rate-1"])
+            "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -184,7 +189,7 @@ class TestEvaluate:
         """Scored with the model's schema, a file whose rows share one class
         is valid input, though no schema could be inferred from it."""
         model = run_train(small_csv, tmp_path / "run")
-        lines = open(small_csv, encoding="utf-8").read().splitlines()
+        lines = Path(small_csv).read_text(encoding="utf-8").splitlines()
         positives = [line for line in lines[1:] if line.endswith(",Yes")]
         only_yes = tmp_path / "yes.csv"
         only_yes.write_text("\n".join([lines[0], *positives]) + "\n")
@@ -579,3 +584,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["train"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, config, mapping", [
+        (["train"], TrainConfig,
+         {"epochs": "epochs", "batch_size": "batch_size", "lr": "learning_rate",
+          "dropout": "dropout", "val_source": "validation_source"}),
+        (["explain", "--model", "m.json", "--index", "0"], LimeConfig,
+         {"num_samples": "num_samples", "kernel_width": "kernel_width",
+          "num_features": "num_features"}),
+        (["sensitivity", "--model", "m.json"], MorrisConfig,
+         {"trajectories": "trajectories", "levels": "levels"}),
+    ], ids=["train", "explain", "sensitivity"])
+    def test_flag_defaults_are_config_defaults(self, argv, config, mapping):
+        args = build_parser().parse_args([*argv, "--data", "d.csv"])
+        defaults = {f.name: f.default for f in fields(config)}
+        assert {flag: getattr(args, flag) for flag in mapping} == \
+            {flag: defaults[name] for flag, name in mapping.items()}

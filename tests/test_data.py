@@ -27,8 +27,9 @@ class TestLoadCsv:
     def test_recurrence_file_shape(self, recurrence_source):
         ds = load_csv(str(recurrence_source.path))
         assert len(ds) == 383
-        assert len(ds.schema.features) == 16
-        assert ds.schema.target_name == "Recurred"
+        schema = build_schema(ds.header, ds.rows, ds.targets)
+        assert len(schema.features) == 16
+        assert schema.target_name == "Recurred"
 
     def test_positive_count_in_uci_file(self, recurrence_source):
         if not recurrence_source.is_real:
@@ -40,7 +41,7 @@ class TestLoadCsv:
     def test_toy_csv(self, tmp_path):
         ds = load_csv(write(tmp_path, TOY))
         assert len(ds) == 3
-        assert ds.schema.feature_names == ["Age", "Gender"]
+        assert build_schema(ds.header, ds.rows, ds.targets).feature_names == ["Age", "Gender"]
 
     def test_header_only_is_empty(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
@@ -162,11 +163,12 @@ class TestLabelEncode:
     def test_round_trip_every_cell(self, recurrence_source):
         ds = load_csv(str(recurrence_source.path))
         enc = label_encode(ds)
-        for j, feat in enumerate(ds.schema.features):
+        schema = build_schema(ds.header, ds.rows, ds.targets)
+        for j, feat in enumerate(schema.features):
             if feat.kind != CATEGORICAL:
                 continue
             for i in range(len(ds)):
-                assert decode_category(ds.schema, j, enc.X[i, j]) == ds.rows[i][j]
+                assert decode_category(schema, j, enc.X[i, j]) == ds.rows[i][j]
 
     def test_unseen_category_rejected(self):
         schema = build_schema(["G", "R"], [["F"], ["M"]], ["a", "b"])

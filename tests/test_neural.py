@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thyrec.neural import (BCE_EPS, MLP, PREDICT_ROWS, RELU, SIGMOID, Layer, TrainConfig,
-                           _sigmoid, adam_step, backward, bce_loss, forward, init_adam,
-                           init_mlp, predict_label, predict_proba, train)
+from thyrec.neural import (BCE_EPS, MLP, PREDICT_ROWS, Layer, TrainConfig, _sigmoid,
+                           adam_step, backward, bce_loss, forward, init_adam, init_mlp,
+                           predict_label, predict_proba, train)
 from thyrec.persist import load_model, save_model
 
 
@@ -41,9 +41,20 @@ class TestInit:
 
     def test_hidden_relu_output_sigmoid(self):
         mlp = init_mlp(4, [3], seed=0)
-        assert mlp.layers[0].activation == "relu"
-        assert mlp.layers[-1].activation == SIGMOID
+        X = np.random.default_rng(0).normal(size=(50, 4))
+        hidden = X @ mlp.layers[0].W + mlp.layers[0].b
+        cache = forward(mlp, X)
+        assert (hidden < 0).any() and (hidden > 0).any()
+        assert np.array_equal(cache.inputs[1], np.maximum(hidden, 0.0))
+        logit = cache.inputs[1] @ mlp.layers[1].W + mlp.layers[1].b
+        assert np.array_equal(cache.probs, _sigmoid(logit)[:, 0])
         assert mlp.dropout_rates == [0.5]
+
+    @pytest.mark.parametrize("rates", [[], [0.5, 0.5]], ids=["none", "one-too-many"])
+    def test_one_dropout_rate_per_hidden_layer(self, rates):
+        layers = [Layer(np.ones((2, 2)), np.zeros(2)), Layer(np.ones((2, 1)), np.zeros(1))]
+        with pytest.raises(ValueError, match="dropout rates"):
+            MLP(layers=layers, dropout_rates=rates)
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
     def test_dropout_outside_unit_interval_rejected(self, rate):
@@ -65,8 +76,8 @@ class TestForward:
     def test_hand_built_network(self):
         # 2-2-1 net, all weights 1, input (1,1): hidden relu([2,2]) = [2,2],
         # output logit 4, probability 1/(1+e^-4)
-        mlp = MLP(layers=[Layer(np.ones((2, 2)), np.zeros(2), "relu"),
-                          Layer(np.ones((2, 1)), np.zeros(1), SIGMOID)],
+        mlp = MLP(layers=[Layer(np.ones((2, 2)), np.zeros(2)),
+                          Layer(np.ones((2, 1)), np.zeros(1))],
                   dropout_rates=[0.0])
         p = predict_proba(mlp, np.array([[1.0, 1.0]]))
         assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), abs=1e-15)
@@ -78,8 +89,8 @@ class TestForward:
 
     def test_dropout_preserves_expectation(self):
         # one unit with activation 1.0; inverted-dropout mean over 1e5 draws
-        mlp = MLP(layers=[Layer(np.ones((1, 1)), np.zeros(1), "relu"),
-                          Layer(np.ones((1, 1)), np.zeros(1), SIGMOID)],
+        mlp = MLP(layers=[Layer(np.ones((1, 1)), np.zeros(1)),
+                          Layer(np.ones((1, 1)), np.zeros(1))],
                   dropout_rates=[0.5])
         X = np.ones((100_000, 1))
         cache = forward(mlp, X, train=True, rng=np.random.default_rng(11))
@@ -151,7 +162,7 @@ class TestBackward:
     def test_sigmoid_bce_identity(self):
         # single sigmoid unit: d(loss)/d(bias) = p - y for one row
         W = np.array([[0.3], [-0.2]])
-        mlp = MLP(layers=[Layer(W, np.array([0.1]), SIGMOID)], dropout_rates=[])
+        mlp = MLP(layers=[Layer(W, np.array([0.1]))], dropout_rates=[])
         X = np.array([[1.0, 2.0]])
         y = np.array([1.0])
         cache = forward(mlp, X, train=True, rng=np.random.default_rng(0))
@@ -168,6 +179,28 @@ class TestBackward:
         mlp, X, y = case
         err = max_relative_error(analytic_gradients(mlp, X, y),
                                  numeric_gradients(mlp, X, y))
+        assert err < 1e-4
+
+    def test_hand_built_two_hidden_layers(self):
+        # Layers carry only W and b: both hidden layers apply ReLU, the last
+        # applies sigmoid, and backward differentiates exactly that
+        rng = np.random.default_rng(5)
+        Ws = [rng.normal(size=(3, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3, 1))]
+        bs = [rng.normal(size=4) * 0.1, rng.normal(size=3) * 0.1, np.array([0.2])]
+        mlp = MLP(layers=[Layer(W, b) for W, b in zip(Ws, bs)], dropout_rates=[0.0, 0.0])
+        X = rng.normal(size=(6, 3))
+        y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        cache = forward(mlp, X)
+        a, pre = X, []
+        for W, b in zip(Ws[:-1], bs[:-1]):
+            pre.append(a @ W + b)
+            a = np.maximum(pre[-1], 0.0)
+        assert min(float(np.min(np.abs(z))) for z in pre) > 1e-4
+        assert all((z < 0).any() for z in pre)
+        assert np.array_equal(cache.inputs[1], np.maximum(pre[0], 0.0))
+        assert np.array_equal(cache.inputs[2], a)
+        assert np.array_equal(cache.probs, _sigmoid(a @ Ws[2] + bs[2])[:, 0])
+        err = max_relative_error(analytic_gradients(mlp, X, y), numeric_gradients(mlp, X, y))
         assert err < 1e-4
 
     def test_duplicate_rows_mean_invariance(self):
@@ -452,11 +485,11 @@ class TestWorkspace:
 def reference_forward(layers, rates, X, train=False, rng=None):
     inputs, pre, masks = [], [], []
     a = X
-    for l, (W, b, activation) in enumerate(layers):
+    for l, (W, b) in enumerate(layers):
         inputs.append(a)
         z = a @ W + b
         pre.append(z)
-        if activation == RELU:
+        if l < len(layers) - 1:
             a = np.maximum(z, 0.0)
             if train and rates[l] > 0.0:
                 keep = 1.0 - rates[l]
@@ -502,9 +535,9 @@ class ReferenceNet:
     """Independent per-array copies of an MLP's parameters and Adam moments."""
 
     def __init__(self, mlp):
-        self.layers = [(l.W.copy(), l.b.copy(), l.activation) for l in mlp.layers]
+        self.layers = [(l.W.copy(), l.b.copy()) for l in mlp.layers]
         self.rates = list(mlp.dropout_rates)
-        self.params = [a for W, b, _ in self.layers for a in (W, b)]
+        self.params = [a for layer in self.layers for a in layer]
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -571,8 +604,8 @@ class TestFlatParameters:
 
     def test_hand_built_layers_become_views(self):
         W = np.arange(6, dtype=np.int64).reshape(3, 2)
-        mlp = MLP(layers=[Layer(W, np.zeros(2), RELU),
-                          Layer(np.ones((2, 1)), np.zeros(1), SIGMOID)], dropout_rates=[0.0])
+        mlp = MLP(layers=[Layer(W, np.zeros(2)),
+                          Layer(np.ones((2, 1)), np.zeros(1))], dropout_rates=[0.0])
         assert mlp.flat.dtype == np.float64
         assert mlp.layers[0].W.tolist() == W.tolist()
         mlp.flat[:] = 0.0

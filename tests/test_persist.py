@@ -8,9 +8,9 @@ from thyrec.data import Feature, FeatureSchema, Scaler
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
 from thyrec.cli import main as cli_main
-from thyrec.persist import (ArtifactError, CorruptArtifactError, EvalResult,
-                            MissingFieldError, ModelArtifact, SplitInfo,
-                            UnsupportedVersionError, load_model, save_model)
+from thyrec.persist import (ArtifactError, CorruptArtifactError, MissingFieldError,
+                            ModelArtifact, SplitInfo, UnsupportedVersionError, load_model,
+                            save_model)
 
 
 def make_artifact(seed=0, d=4):
@@ -20,7 +20,6 @@ def make_artifact(seed=0, d=4):
         "Recurred", ("No", "Yes"))
     rng = np.random.default_rng(seed)
     scaler = Scaler(means=rng.normal(size=d), stds=np.abs(rng.normal(size=d)) + 0.5)
-    cm = ConfusionMatrix(tp=16, fp=0, tn=58, fn=3)
     return ModelArtifact(
         schema=schema,
         scaler=scaler,
@@ -31,8 +30,8 @@ def make_artifact(seed=0, d=4):
                                  epochs=20, batch_size=16, dropout=0.25,
                                  validation_fraction=0.1,
                                  validation_source="test-as-paper", seed=seed + 40),
-        final_metrics={"train": EvalResult(cm, compute_metrics(cm)),
-                       "test": EvalResult(cm, compute_metrics(cm))},
+        final_metrics={"train": ConfusionMatrix(tp=60, fp=2, tn=240, fn=4),
+                       "test": ConfusionMatrix(tp=16, fp=0, tn=58, fn=3)},
         split=SplitInfo(seed=seed, ratio=0.8, stratified=False, indices_digest="d" * 64),
     )
 
@@ -73,19 +72,21 @@ class TestRoundTrip:
         assert loaded.train_config == artifact.train_config
         assert loaded.split == artifact.split
         assert np.array_equal(loaded.scaler.means, artifact.scaler.means)
-        assert loaded.final_metrics["test"].confusion == \
-            artifact.final_metrics["test"].confusion
-        assert loaded.final_metrics["test"].metrics == \
-            artifact.final_metrics["test"].metrics
+        assert loaded.final_metrics == artifact.final_metrics
+        raw = json.loads(path.read_text())
+        assert raw["final_metrics"]["test"]["metrics"] == \
+            compute_metrics(artifact.final_metrics["test"]).as_dict()
         assert loaded.mlp.dropout_rates == artifact.mlp.dropout_rates
 
     def test_undefined_metric_survives_as_none(self, tmp_path):
         artifact = make_artifact()
-        cm = ConfusionMatrix(tp=0, fp=0, tn=10, fn=0)
-        artifact.final_metrics["test"] = EvalResult(cm, compute_metrics(cm))
+        artifact.final_metrics["test"] = ConfusionMatrix(tp=0, fp=0, tn=10, fn=0)
         path = tmp_path / "m.json"
         save_model(artifact, str(path))
-        assert load_model(str(path)).final_metrics["test"].metrics.sensitivity is None
+        assert json.loads(path.read_text())["final_metrics"]["test"]["metrics"][
+            "sensitivity"] is None
+        loaded = load_model(str(path)).final_metrics["test"]
+        assert compute_metrics(loaded).sensitivity is None
 
 
 class TestErrors:
@@ -176,6 +177,8 @@ class TestErrors:
         (("train_config", "epsilon"), 0.0),
         (("dropout_rates", 0), 1.0),
         (("dropout_rates", 1), -0.1),
+        (("final_metrics", "test", "confusion", "tp"), 56),
+        (("final_metrics", "test", "metrics", "accuracy"), 0.99),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -184,7 +187,8 @@ class TestErrors:
             "tp-string", "accuracy-string", "dropout-rate-string", "weight-bool",
             "numeric-vocab", "stratified-string", "target-name-int",
             "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo",
-            "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative"])
+            "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
+            "counts-contradict-metrics", "metrics-contradict-counts"])
     def test_malformed_value(self, tmp_path, keys, value):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
