@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, SchemaMismatchError, apply_scaler, encode_with_schema,
-                   fit_scaler, label_encode, load_csv, split, split_digest,
-                   stratified_split)
+from .data import (DataError, apply_scaler, encode_with_schema, fit_scaler, label_encode,
+                   load_csv, split, split_digest, stratified_split)
 from .lime import LimeConfig, explain
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
@@ -84,15 +83,16 @@ def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
 
 
 def _load_for_model(args):
-    """The artifact at args.model and the CSV at args.data encoded with its
-    schema; nothing is inferred from the data."""
+    """The artifact at args.model, then the CSV at args.data encoded with its
+    schema (nothing is inferred from the data): every row scaled with its
+    scaler, and the labels."""
     artifact = load_model(args.model)
     dataset, schema = load_csv(args.data), artifact.schema
     columns = schema.feature_names + [schema.target_name]
     if dataset.header != columns:
-        raise SchemaMismatchError(
-            f"data columns {dataset.header} do not match the model's {columns}")
-    return artifact, encode_with_schema(dataset.rows, dataset.targets, schema)
+        raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
+    encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
+    return artifact, apply_scaler(artifact.scaler, encoded.X), encoded.y
 
 
 def _recover_split(artifact: ModelArtifact, y: np.ndarray):
@@ -114,8 +114,8 @@ def cmd_train(args) -> int:
     encoded = label_encode(dataset)
     idx = _make_split(encoded.y, TRAIN_RATIO, args.seed, args.stratify)
     scaler = fit_scaler(encoded.X[idx.train])
-    X_train = apply_scaler(scaler, encoded.X[idx.train])
-    X_test = apply_scaler(scaler, encoded.X[idx.test])
+    encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
+    X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
     y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
 
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
@@ -159,14 +159,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    artifact, encoded = _load_for_model(args)
-    if args.partition == "all":
-        rows = np.arange(len(encoded.y))
-    else:
-        idx = _recover_split(artifact, encoded.y)
+    artifact, X, y = _load_for_model(args)
+    if args.partition != "all":
+        idx = _recover_split(artifact, y)
         rows = idx.train if args.partition == "train" else idx.test
-    X = apply_scaler(artifact.scaler, encoded.X[rows])
-    result = _evaluate(artifact.mlp, X, encoded.y[rows])
+        X, y = X[rows], y[rows]
+    result = _evaluate(artifact.mlp, X, y)
     _print_metrics_table({args.partition: result})
     if args.out is not None:
         _write_json(Path(args.out) / "eval_report.json",
@@ -175,17 +173,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    artifact, encoded = _load_for_model(args)
-    n = len(encoded.y)
-    if not 0 <= args.index < n:
-        raise DataError(f"index {args.index} out of range for {n} rows")
-    idx = _recover_split(artifact, encoded.y)
-    X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])
-    instance = apply_scaler(artifact.scaler, encoded.X[args.index:args.index + 1])[0]
+    artifact, X, y = _load_for_model(args)
+    if not 0 <= args.index < len(y):
+        raise DataError(f"index {args.index} out of range for {len(y)} rows")
+    idx = _recover_split(artifact, y)
 
     config = LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
                         num_features=args.num_features, seed=args.seed)
-    result = explain(lambda X: predict_proba(artifact.mlp, X), instance, X_train,
+    result = explain(lambda Z: predict_proba(artifact.mlp, Z), X[args.index], X[idx.train],
                      config, schema=artifact.schema, scaler=artifact.scaler,
                      instance_index=args.index)
 
@@ -205,13 +200,12 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    artifact, encoded = _load_for_model(args)
-    idx = _recover_split(artifact, encoded.y)
-    X_train = apply_scaler(artifact.scaler, encoded.X[idx.train])
+    artifact, X, y = _load_for_model(args)
+    idx = _recover_split(artifact, y)
 
     config = MorrisConfig(levels=args.levels, trajectories=args.trajectories,
                           seed=args.seed)
-    result = analyze(lambda X: predict_proba(artifact.mlp, X), X_train, config,
+    result = analyze(lambda Z: predict_proba(artifact.mlp, Z), X[idx.train], config,
                      feature_names=artifact.schema.feature_names)
 
     out = Path(args.out)

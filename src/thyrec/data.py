@@ -20,33 +20,9 @@ CATEGORICAL = "categorical"
 
 
 class DataError(Exception):
-    """Base class for malformed or unusable input data."""
-
-
-class MissingFileError(DataError):
-    pass
-
-
-class RaggedRowError(DataError):
-    def __init__(self, line: int, expected: int, got: int):
-        super().__init__(f"line {line}: expected {expected} cells, got {got}")
-        self.line = line
-
-
-class EmptyDatasetError(DataError):
-    pass
-
-
-class TargetNotBinaryError(DataError):
-    pass
-
-
-class DegenerateSplitError(DataError):
-    pass
-
-
-class SchemaMismatchError(DataError):
-    """Input data does not match the schema a model was trained with."""
+    """Malformed or unusable input data: a missing, ragged or empty CSV, a
+    non-binary target, a degenerate split, or cells that do not match a
+    model's schema."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +66,6 @@ class FeatureSchema:
     def feature_names(self) -> list[str]:
         return [f.name for f in self.features]
 
-    @property
-    def positive_class(self) -> str:
-        return self.target_vocab[1]
-
 
 @dataclass
 class Dataset:
@@ -135,12 +107,12 @@ def _numbers(cells) -> np.ndarray | None:
 
 
 def _codes(vocab: tuple[str, ...], cells, what: str) -> np.ndarray:
-    """Index of each cell in vocab; SchemaMismatchError on any other value."""
+    """Index of each cell in vocab; DataError on any other value."""
     index = {c: k for k, c in enumerate(vocab)}
     try:
         return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
     except KeyError as exc:
-        raise SchemaMismatchError(f"{what}: value {exc.args[0]!r} not in vocab") from None
+        raise DataError(f"{what}: value {exc.args[0]!r} not in vocab") from None
 
 
 def build_schema(header: list[str], rows: list[list[str]],
@@ -164,7 +136,7 @@ def _columns(rows: list[list[str]], d: int) -> list[tuple[str, ...]]:
 def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
                   targets: list[str]) -> FeatureSchema:
     if not targets:
-        raise EmptyDatasetError("no data rows")
+        raise DataError("no data rows")
     names = header[:-1]
     if len(set(names)) != len(names) or any(not n for n in names):
         raise DataError("column names must be unique and non-empty")
@@ -173,8 +145,7 @@ def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
                 for name, cells in zip(names, columns)]
     distinct = sorted(set(targets))
     if len(distinct) != 2:
-        raise TargetNotBinaryError(
-            f"target has {len(distinct)} distinct values, expected 2: {distinct[:5]}")
+        raise DataError(f"target has {len(distinct)} distinct values, expected 2: {distinct[:5]}")
     return FeatureSchema(tuple(features), target_name=header[-1],
                          target_vocab=(distinct[0], distinct[1]))
 
@@ -185,7 +156,7 @@ def load_csv(path: str) -> Dataset:
     The header row names the columns; nothing is inferred (`label_encode` and
     `build_schema` infer a schema from the cells).
     Blank lines are skipped. A record with the wrong number of cells raises
-    RaggedRowError naming the file line the record starts on.
+    DataError whose message starts with the file line the record starts on.
 
     Each cell is interned as it is parsed, so every distinct value is stored
     once and equal cells share one string: the table's memory grows with
@@ -198,21 +169,22 @@ def load_csv(path: str) -> Dataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise EmptyDatasetError(f"{path}: empty file")
+                raise DataError(f"{path}: empty file")
             header = list(map(sys.intern, header))
             rows, start = [], reader.line_num + 1
             for row in reader:
                 if row:  # tolerate blank lines
                     if len(row) != len(header):
-                        raise RaggedRowError(line=start, expected=len(header), got=len(row))
+                        raise DataError(f"line {start}: expected {len(header)} cells, "
+                                        f"got {len(row)}")
                     rows.append(list(map(sys.intern, row)))
                 start = reader.line_num + 1
     except FileNotFoundError as exc:
-        raise MissingFileError(f"no such file: {path}") from exc
+        raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if not rows:
-        raise EmptyDatasetError(f"{path}: header only, no data rows")
+        raise DataError(f"{path}: header only, no data rows")
     targets = [row.pop() for row in rows]
     return Dataset(header=header, rows=rows, targets=targets)
 
@@ -229,11 +201,11 @@ def label_encode(dataset: Dataset) -> EncodedDataset:
 def encode_with_schema(rows: list[list[str]], targets: list[str],
                        schema: FeatureSchema) -> EncodedDataset:
     """Encode raw rows against a fixed schema (used when evaluating new data
-    with a trained model's schema), one column at a time. Raises
-    SchemaMismatchError on any cell the schema cannot encode."""
+    with a trained model's schema), one column at a time. Raises DataError
+    on any cell the schema cannot encode."""
     n, d = len(rows), len(schema.features)
     if min(map(len, rows), default=d) < d:
-        raise SchemaMismatchError(f"a row has fewer than the schema's {d} feature cells")
+        raise DataError(f"a row has fewer than the schema's {d} feature cells")
     return _encode_columns(_columns(rows, d), n, targets, schema)
 
 
@@ -241,13 +213,13 @@ def _encode_columns(columns: list[tuple[str, ...]], n: int, targets: list[str],
                     schema: FeatureSchema) -> EncodedDataset:
     """Encode n rows, given column by column, against schema."""
     if len(targets) != n:
-        raise SchemaMismatchError(f"{n} rows but {len(targets)} targets")
+        raise DataError(f"{n} rows but {len(targets)} targets")
     X = np.empty((n, len(schema.features)), dtype=np.float64)
     for j, (feat, cells) in enumerate(zip(schema.features, columns)):
         what = f"column {feat.name!r}"
         values = _numbers(cells) if feat.kind == NUMERIC else _codes(feat.vocab, cells, what)
         if values is None:
-            raise SchemaMismatchError(f"{what}: a cell is not a finite number")
+            raise DataError(f"{what}: a cell is not a finite number")
         X[:, j] = values
     # target_vocab is ascending, so a target's index is its 0/1 label
     y = _codes(schema.target_vocab, targets, "target")
@@ -275,7 +247,7 @@ def stratified_split(y: np.ndarray, ratio: float, seed: int) -> SplitIndices:
     class, classes in ascending order; the other rows are the test set."""
     n = len(y)
     if n < 2:
-        raise DegenerateSplitError(f"cannot split {n} rows")
+        raise DataError(f"cannot split {n} rows")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
@@ -290,7 +262,7 @@ def stratified_split(y: np.ndarray, ratio: float, seed: int) -> SplitIndices:
     train = np.concatenate(train_parts)
     test = np.concatenate(test_parts)
     if len(train) == 0 or len(test) == 0:
-        raise DegenerateSplitError(f"split {ratio} of {n} rows leaves one side empty")
+        raise DataError(f"split {ratio} of {n} rows leaves one side empty")
     return SplitIndices(train=train, test=test)
 
 
@@ -317,4 +289,6 @@ def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != scaler.means.shape[0]:
         raise ValueError(
             f"dimension mismatch: {X.shape[1]} columns vs scaler of {scaler.means.shape[0]}")
-    return (X - scaler.means) / scaler.stds
+    out = X - scaler.means
+    out /= scaler.stds     # in place: one (n, d) array, not two
+    return out

@@ -29,15 +29,6 @@ from .data import NUMERIC, DataError, FeatureSchema, Scaler, decode_category
 from .neural import PREDICT_ROWS, thread_buffers
 
 
-class SingularSystemError(ValueError):
-    """Unpenalized surrogate fit on a rank-deficient design."""
-
-
-class TooFewRowsError(DataError, ValueError):
-    """Too few training rows to fit quartile edges: a data error to the CLI
-    (exit 3), and still a ValueError to library callers."""
-
-
 @dataclass
 class LimeConfig:
     num_samples: int = 5000
@@ -101,10 +92,11 @@ def fit_discretizer(X_train: np.ndarray,
                     schema: FeatureSchema | None) -> list[np.ndarray | None]:
     """Quartile edges (q25, q50, q75) per continuous feature, computed with
     the linear-interpolation quantile rule on the training rows; None for a
-    categorical feature. Without a schema every feature is continuous."""
+    categorical feature. Without a schema every feature is continuous. Fewer
+    than 4 rows raise DataError, which the CLI reports with exit 3."""
     X_train = np.asarray(X_train, dtype=np.float64)
     if X_train.shape[0] < 4:
-        raise TooFewRowsError("need at least 4 training rows to fit quartiles")
+        raise DataError("need at least 4 training rows to fit quartiles")
     d = X_train.shape[1]
     kinds = [NUMERIC] * d if schema is None else [f.kind for f in schema.features]
     return [_quartiles(X_train[:, j]) if kind == NUMERIC else None
@@ -205,7 +197,7 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     A = ZcW_T @ Zc + ridge_lambda * np.eye(d)
     rhs = ZcW_T @ yc
     if ridge_lambda == 0.0 and np.linalg.matrix_rank(A) < d:
-        raise SingularSystemError("rank-deficient design with lambda = 0")
+        raise ValueError("rank-deficient design with lambda = 0")
     beta = np.linalg.solve(A, rhs)
     intercept = y_bar - float(z_bar @ beta)
     residual = y - (Z @ beta + intercept)

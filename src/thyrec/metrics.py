@@ -19,6 +19,10 @@ class ConfusionMatrix:
     tn: int
     fn: int
 
+    def __post_init__(self):
+        if min(self.tp, self.fp, self.tn, self.fn) < 0:
+            raise ValueError("confusion counts must be >= 0")
+
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn

@@ -25,14 +25,6 @@ import numpy as np
 from .neural import thread_buffers
 
 
-class NonFiniteModelOutputError(ValueError):
-    pass
-
-
-class TooFewTrajectoriesError(ValueError):
-    pass
-
-
 @dataclass
 class MorrisConfig:
     levels: int = 4
@@ -166,7 +158,7 @@ def _outputs(f, X: np.ndarray) -> np.ndarray:
     if len(out) != len(X):
         raise ValueError(f"model returned {len(out)} outputs for {len(X)} rows")
     if not np.all(np.isfinite(out)):
-        raise NonFiniteModelOutputError("model returned a non-finite output")
+        raise ValueError("model returned a non-finite output")
     return out
 
 
@@ -177,7 +169,7 @@ def aggregate(ee: np.ndarray, feature_names: list[str],
     (default: none)."""
     ee = np.asarray(ee, dtype=np.float64)
     if ee.shape[0] < 2:
-        raise TooFewTrajectoriesError("need at least 2 trajectories to aggregate")
+        raise ValueError("need at least 2 trajectories to aggregate")
     mu = ee.mean(axis=0)
     mu_star = np.abs(ee).mean(axis=0)
     sigma = ee.std(axis=0, ddof=1)

@@ -104,9 +104,6 @@ class MLP:
         """Per-layer views [W0, b0, W1, b1, ...] into `flat`."""
         return [p for layer in self.layers for p in (layer.W, layer.b)]
 
-    def num_parameters(self) -> int:
-        return self.flat.size
-
 
 @dataclass
 class TrainConfig:

@@ -29,19 +29,8 @@ SIGMOID = "sigmoid"
 
 
 class ArtifactError(Exception):
-    """Base class for unreadable or inconsistent model artifacts."""
-
-
-class UnsupportedVersionError(ArtifactError):
-    pass
-
-
-class CorruptArtifactError(ArtifactError):
-    pass
-
-
-class MissingFieldError(ArtifactError):
-    pass
+    """An unreadable or inconsistent model artifact: a missing file, invalid
+    JSON, an unsupported format version, or a missing or malformed field."""
 
 
 @dataclass
@@ -121,10 +110,10 @@ def _get(mapping: dict, key: str, context: str, hint=None):
     try:
         value = mapping[key]
     except (KeyError, TypeError):
-        raise MissingFieldError(f"missing field {context}.{key}") from None
+        raise ArtifactError(f"missing field {context}.{key}") from None
     if hint is not None and not _matches(value, hint):
         name = getattr(hint, "__name__", hint)
-        raise CorruptArtifactError(f"{context}.{key} must be {name}, not {value!r:.40}")
+        raise ArtifactError(f"{context}.{key} must be {name}, not {value!r:.40}")
     return value
 
 
@@ -142,10 +131,10 @@ def _record(cls, d: dict, context: str):
 def _array(d: dict, key: str, context: str) -> np.ndarray:
     values = _get(d, key, context, list)
     if not {type(v) for v in values} <= {int, float}:
-        raise CorruptArtifactError(f"{context}.{key} must hold numbers only")
+        raise ArtifactError(f"{context}.{key} must hold numbers only")
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
-        raise CorruptArtifactError(f"{context}.{key} holds a non-finite value")
+        raise ArtifactError(f"{context}.{key} holds a non-finite value")
     return values
 
 
@@ -160,7 +149,7 @@ def _schema_from_dict(d: dict) -> FeatureSchema:
 def _artifact_from_dict(raw: dict) -> ModelArtifact:
     version = _get(raw, "format_version", "artifact", int)
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
+        raise ArtifactError(
             f"format_version {version} not supported (expected {FORMAT_VERSION})")
 
     schema = _schema_from_dict(_get(raw, "schema", "artifact"))
@@ -170,9 +159,9 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
     scaler = Scaler(means=_array(scaler_d, "means", "scaler"),
                     stds=_array(scaler_d, "stds", "scaler"))
     if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
-        raise CorruptArtifactError(f"scaler means/stds need one entry per feature ({d})")
+        raise ArtifactError(f"scaler means/stds need one entry per feature ({d})")
     if np.any(scaler.stds <= 0):
-        raise CorruptArtifactError("scaler stds must be > 0")
+        raise ArtifactError("scaler stds must be > 0")
 
     layers = []
     prev_out = None
@@ -182,28 +171,28 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         weights = _array(ld, "weights", f"layer {i}")
         bias = _array(ld, "bias", f"layer {i}")
         if weights.shape != (d_in * d_out,) or bias.shape != (d_out,):
-            raise CorruptArtifactError(f"layer {i}: declared shape does not match array length")
+            raise ArtifactError(f"layer {i}: declared shape does not match array length")
         if prev_out is not None and d_in != prev_out:
-            raise CorruptArtifactError(f"layer {i}: dimensions do not chain")
+            raise ArtifactError(f"layer {i}: dimensions do not chain")
         activation = _get(ld, "activation", "layer")
         expected = SIGMOID if i == len(layer_dicts) - 1 else RELU
         if activation != expected:
-            raise CorruptArtifactError(f"layer {i}: activation {activation!r}, "
-                                       f"expected {expected!r}")
+            raise ArtifactError(f"layer {i}: activation {activation!r}, "
+                                f"expected {expected!r}")
         layers.append(Layer(weights.reshape(d_in, d_out), bias))
         prev_out = d_out
     if not layers:
-        raise CorruptArtifactError("artifact has no layers")
+        raise ArtifactError("artifact has no layers")
     if layers[0].W.shape[0] != d:
-        raise CorruptArtifactError("first layer width does not match the schema")
+        raise ArtifactError("first layer width does not match the schema")
 
     final = {}
     for name, ed in _get(raw, "final_metrics", "artifact", dict).items():
         cm = _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion")
         metrics = _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics")
         if metrics != compute_metrics(cm):
-            raise CorruptArtifactError(f"final_metrics {name!r}: stored metrics do not "
-                                       f"match their confusion counts")
+            raise ArtifactError(f"final_metrics {name!r}: stored metrics do not "
+                                f"match their confusion counts")
         final[name] = cm
 
     return ModelArtifact(
@@ -223,11 +212,11 @@ def load_model(path: str) -> ModelArtifact:
     except OSError as exc:        # missing, a directory, unreadable
         raise ArtifactError(f"cannot read model file: {exc}") from exc
     except ValueError as exc:     # JSONDecodeError or UnicodeDecodeError
-        raise CorruptArtifactError(f"{path}: not valid JSON ({exc})") from exc
+        raise ArtifactError(f"{path}: not valid JSON ({exc})") from exc
     # Constructors and numpy reject out-of-range or inconsistent values with
     # these errors; in a file we read, that is a corrupt artifact, not bad
     # usage.
     try:
         return _artifact_from_dict(raw)
     except (ValueError, TypeError, AttributeError) as exc:
-        raise CorruptArtifactError(f"{path}: {exc}") from exc
+        raise ArtifactError(f"{path}: {exc}") from exc

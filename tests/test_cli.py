@@ -12,7 +12,7 @@ import pytest
 
 import thyrec
 from synth import generate_rows, write_csv
-from test_persist import mutate
+from test_persist import NEGATIVE_COUNT, mutate
 from thyrec import data
 from thyrec.cli import build_parser, main
 from thyrec.lime import LimeConfig
@@ -165,9 +165,11 @@ class TestEvaluate:
         (("dropout_rates", 0), 1.0),
         (("final_metrics", "test", "confusion", "tp"), 1000),
         (("final_metrics", "test", "metrics", "accuracy"), 0.99),
+        (("final_metrics", "test"), NEGATIVE_COUNT),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
-            "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts"])
+            "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
+            "negative-count"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())

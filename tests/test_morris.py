@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thyrec.morris import (FeatureRanges, MorrisConfig,
-                           NonFiniteModelOutputError, TooFewTrajectoriesError, aggregate,
-                           analyze, elementary_effects, generate_trajectories)
+from thyrec.morris import (FeatureRanges, MorrisConfig, aggregate, analyze,
+                           elementary_effects, generate_trajectories)
 from thyrec.neural import init_mlp, predict_proba
 
 
@@ -199,7 +198,7 @@ class TestElementaryEffects:
     def test_non_finite_output_rejected(self):
         config = MorrisConfig(trajectories=5, seed=4)
         trajs = generate_trajectories(2, config, np.random.default_rng(4))
-        with pytest.raises(NonFiniteModelOutputError):
+        with pytest.raises(ValueError, match="model returned a non-finite output"):
             elementary_effects(lambda X: np.full(len(X), np.nan), trajs,
                                unit_ranges(2), config.effective_delta)
 
@@ -240,7 +239,7 @@ class TestAggregate:
         assert np.all(result.sigma >= 0.0)
 
     def test_too_few_trajectories(self):
-        with pytest.raises(TooFewTrajectoriesError):
+        with pytest.raises(ValueError, match="need at least 2 trajectories to aggregate"):
             aggregate(np.ones((1, 3)), ["a", "b", "c"])
 
 

@@ -26,7 +26,7 @@ class TestInit:
         assert [l.b.shape[0] for l in mlp.layers] == [128, 64, 32, 1]
 
     def test_parameter_count(self):
-        assert init_mlp(16, [128, 64, 32], seed=0).num_parameters() == 12545
+        assert init_mlp(16, [128, 64, 32], seed=0).flat.size == 12545
 
     def test_glorot_bounds_and_zero_biases(self):
         mlp = init_mlp(10, [6], seed=1)
@@ -589,7 +589,7 @@ def paper_net(seed):
 class TestFlatParameters:
     def test_views_share_one_vector(self):
         mlp = paper_net(0)
-        assert mlp.flat.dtype == np.float64 and mlp.flat.size == mlp.num_parameters()
+        assert mlp.flat.dtype == np.float64 and mlp.flat.size == 12545
         assert all(np.shares_memory(p, mlp.flat) for p in mlp.parameters())
         assert np.array_equal(np.concatenate([p.ravel() for p in mlp.parameters()]), mlp.flat)
 

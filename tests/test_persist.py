@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,9 +9,7 @@ from thyrec.data import Feature, FeatureSchema, Scaler
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
 from thyrec.cli import main as cli_main
-from thyrec.persist import (ArtifactError, CorruptArtifactError, MissingFieldError,
-                            ModelArtifact, SplitInfo, UnsupportedVersionError, load_model,
-                            save_model)
+from thyrec.persist import ArtifactError, ModelArtifact, SplitInfo, load_model, save_model
 
 
 def make_artifact(seed=0, d=4):
@@ -34,6 +33,14 @@ def make_artifact(seed=0, d=4):
                        "test": ConfusionMatrix(tp=16, fp=0, tn=58, fn=3)},
         split=SplitInfo(seed=seed, ratio=0.8, stratified=False, indices_digest="d" * 64),
     )
+
+
+# A final_metrics entry whose counts include a negative one, stored with the
+# metrics computed from them: accuracy 4/4, and sensitivity and PPV undefined
+# because their denominators are -1.
+NEGATIVE_COUNT = {"confusion": {"tp": -1, "fp": 0, "tn": 5, "fn": 0},
+                  "metrics": {"accuracy": 1.0, "sensitivity": None, "specificity": 1.0,
+                              "ppv": None, "npv": 1.0}}
 
 
 def mutate(raw: dict, keys: tuple, value) -> None:
@@ -94,13 +101,13 @@ class TestErrors:
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
         path.write_bytes(path.read_bytes()[:200])
-        with pytest.raises(CorruptArtifactError):
+        with pytest.raises(ArtifactError, match="not valid JSON"):
             load_model(str(path))
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_bytes(b"\xff\xfe{}")
-        with pytest.raises(CorruptArtifactError):
+        with pytest.raises(ArtifactError, match="not valid JSON"):
             load_model(str(path))
 
     def test_unsupported_version(self, tmp_path):
@@ -109,7 +116,7 @@ class TestErrors:
         raw = json.loads(path.read_text())
         raw["format_version"] = 99
         path.write_text(json.dumps(raw))
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(ArtifactError, match=re.escape("format_version 99 not supported")):
             load_model(str(path))
 
     def test_missing_field(self, tmp_path):
@@ -118,7 +125,7 @@ class TestErrors:
         raw = json.loads(path.read_text())
         del raw["scaler"]
         path.write_text(json.dumps(raw))
-        with pytest.raises(MissingFieldError):
+        with pytest.raises(ArtifactError, match="missing field artifact.scaler"):
             load_model(str(path))
 
     def test_shape_length_mismatch(self, tmp_path):
@@ -127,7 +134,7 @@ class TestErrors:
         raw = json.loads(path.read_text())
         raw["layers"][0]["weights"] = raw["layers"][0]["weights"][:-1]
         path.write_text(json.dumps(raw))
-        with pytest.raises(CorruptArtifactError):
+        with pytest.raises(ArtifactError, match="layer 0: declared shape does not match"):
             load_model(str(path))
 
     def test_non_chaining_layers(self, tmp_path):
@@ -138,47 +145,60 @@ class TestErrors:
         layer["d_in"] = 7
         layer["weights"] = [0.0] * (7 * layer["d_out"])
         path.write_text(json.dumps(raw))
-        with pytest.raises(CorruptArtifactError):
+        with pytest.raises(ArtifactError, match="layer 1: dimensions do not chain"):
             load_model(str(path))
 
-    @pytest.mark.parametrize("keys, value", [
-        (("train_config", "dropout"), 1.5),
-        (("train_config", "batch_size"), "32"),
-        (("train_config", "epochs"), 0),
-        (("layers", 0, "weights", 0), "x"),
-        (("layers", 1, "weights", 2), float("nan")),
-        (("layers", 2, "bias", 0), float("inf")),
-        (("schema", "features", 1, "vocab"), []),
-        (("scaler", "means", 0), float("nan")),
-        (("scaler",), {"means": [0.0], "stds": [1.0]}),
-        (("scaler", "stds", 0), 0.0),
-        (("scaler", "stds", 1), -1.0),
-        (("dropout_rates",), [0.5]),
-        (("layers", 2, "activation"), "relu"),
-        (("schema", "target_vocab"), ["No", "No"]),
-        (("split", "ratio"), 2.0),
-        (("split", "seed"), "x"),
-        (("final_metrics",), []),
-        (("train_config", "seed"), "x"),
-        (("train_config", "epochs"), True),
-        (("train_config", "validation_source"), 3),
-        (("final_metrics", "test", "confusion", "tp"), "7"),
-        (("final_metrics", "test", "metrics", "accuracy"), "high"),
-        (("dropout_rates", 0), "0.5"),
-        (("layers", 0, "weights", 5), True),
-        (("schema", "features", 0, "vocab"), ["a", "b"]),
-        (("split", "stratified"), "no"),
-        (("schema", "target_name"), 7),
-        (("schema", "target_vocab"), ["Yes", "No"]),
-        (("schema", "features", 1, "vocab"), ["c", "b", "a"]),
-        (("schema", "features", 1, "vocab"), ["a", "b", "c", "a"]),
-        (("train_config", "validation_source"), "foo"),
-        (("train_config", "beta1"), 1.0),
-        (("train_config", "epsilon"), 0.0),
-        (("dropout_rates", 0), 1.0),
-        (("dropout_rates", 1), -0.1),
-        (("final_metrics", "test", "confusion", "tp"), 56),
-        (("final_metrics", "test", "metrics", "accuracy"), 0.99),
+    @pytest.mark.parametrize("keys, value, message", [
+        (("train_config", "dropout"), 1.5, "dropout must be in [0, 1)"),
+        (("train_config", "batch_size"), "32", "train_config.batch_size must be int, not '32'"),
+        (("train_config", "epochs"), 0, "epochs must be >= 1"),
+        (("layers", 0, "weights", 0), "x", "layer 0.weights must hold numbers only"),
+        (("layers", 1, "weights", 2), float("nan"), "layer 1.weights holds a non-finite value"),
+        (("layers", 2, "bias", 0), float("inf"), "layer 2.bias holds a non-finite value"),
+        (("schema", "features", 1, "vocab"), [],
+         "feature 'c0': a categorical feature needs a vocab"),
+        (("scaler", "means", 0), float("nan"), "scaler.means holds a non-finite value"),
+        (("scaler",), {"means": [0.0], "stds": [1.0]},
+         "scaler means/stds need one entry per feature (4)"),
+        (("scaler", "stds", 0), 0.0, "scaler stds must be > 0"),
+        (("scaler", "stds", 1), -1.0, "scaler stds must be > 0"),
+        (("dropout_rates",), [0.5], "1 dropout rates for 2 hidden layers"),
+        (("layers", 2, "activation"), "relu", "layer 2: activation 'relu', expected 'sigmoid'"),
+        (("schema", "target_vocab"), ["No", "No"],
+         "target vocab must be 2 strings in ascending order"),
+        (("split", "ratio"), 2.0, "split ratio must be in (0, 1)"),
+        (("split", "seed"), "x", "split.seed must be int, not 'x'"),
+        (("final_metrics",), [], "artifact.final_metrics must be dict, not []"),
+        (("train_config", "seed"), "x", "train_config.seed must be int, not 'x'"),
+        (("train_config", "epochs"), True, "train_config.epochs must be int, not True"),
+        (("train_config", "validation_source"), 3,
+         "train_config.validation_source must be str, not 3"),
+        (("final_metrics", "test", "confusion", "tp"), "7", "confusion.tp must be int, not '7'"),
+        (("final_metrics", "test", "metrics", "accuracy"), "high",
+         "metrics.accuracy must be float | None, not 'high'"),
+        (("dropout_rates", 0), "0.5", "artifact.dropout_rates must hold numbers only"),
+        (("layers", 0, "weights", 5), True, "layer 0.weights must hold numbers only"),
+        (("schema", "features", 0, "vocab"), ["a", "b"],
+         "feature 'Age': a categorical feature needs a vocab and a numeric one takes none"),
+        (("split", "stratified"), "no", "split.stratified must be bool, not 'no'"),
+        (("schema", "target_name"), 7, "target name must be a string"),
+        (("schema", "target_vocab"), ["Yes", "No"],
+         "target vocab must be 2 strings in ascending order"),
+        (("schema", "features", 1, "vocab"), ["c", "b", "a"],
+         "feature 'c0': vocab must be strictly ascending"),
+        (("schema", "features", 1, "vocab"), ["a", "b", "c", "a"],
+         "feature 'c0': vocab must be strictly ascending"),
+        (("train_config", "validation_source"), "foo", "unknown validation_source 'foo'"),
+        (("train_config", "beta1"), 1.0, "beta1 and beta2 must be in [0, 1)"),
+        (("train_config", "epsilon"), 0.0, "epsilon must be > 0"),
+        (("dropout_rates", 0), 1.0, "dropout rates must be in [0, 1), got [1.0, 0.5]"),
+        (("dropout_rates", 1), -0.1, "dropout rates must be in [0, 1), got [0.5, -0.1]"),
+        (("final_metrics", "test", "confusion", "tp"), 56,
+         "final_metrics 'test': stored metrics do not match their confusion counts"),
+        (("final_metrics", "test", "metrics", "accuracy"), 0.99,
+         "final_metrics 'test': stored metrics do not match their confusion counts"),
+        # counts that no prediction yields, with the metrics computed from them
+        (("final_metrics", "test"), NEGATIVE_COUNT, "confusion counts must be >= 0"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -188,14 +208,14 @@ class TestErrors:
             "numeric-vocab", "stratified-string", "target-name-int",
             "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo",
             "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
-            "counts-contradict-metrics", "metrics-contradict-counts"])
-    def test_malformed_value(self, tmp_path, keys, value):
+            "counts-contradict-metrics", "metrics-contradict-counts", "negative-count"])
+    def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
         raw = json.loads(path.read_text())
         mutate(raw, keys, value)
         path.write_text(json.dumps(raw))
-        with pytest.raises(CorruptArtifactError):
+        with pytest.raises(ArtifactError, match=re.escape(message)):
             load_model(str(path))
 
 
