@@ -46,7 +46,8 @@ def emit(work: Path) -> None:
         model = str(out / "model.json")
         common = ["--data", data, "--seed", str(seed), "--out", str(out)]
         run("train", *common)
-        run("evaluate", "--model", model, "--partition", "test", *common)
+        run("evaluate", "--model", model, "--partition", "test", "--data", data,
+            "--out", str(out))
         run("explain", "--model", model, "--index", str(EXPLAIN_INDEX), *common)
         run("sensitivity", "--model", model, *common)
     seed7 = work / "out" / "seed7"

@@ -34,8 +34,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from thyrec import lime, morris  # noqa: E402
-from thyrec.cli import _load_for_model, _recover_split  # noqa: E402
 from thyrec.neural import predict_proba  # noqa: E402
+from thyrec.persist import load_for_data  # noqa: E402
 
 EXPLAINS_PER_SCREEN = 4
 
@@ -52,8 +52,8 @@ def main() -> None:
     if args.warmup < 0 or args.rounds < 1 or args.mixes < 1:
         parser.error("need --warmup >= 0, --rounds >= 1 and --mixes >= 1")
 
-    artifact, X_all, y = _load_for_model(args)
-    X_train = X_all[_recover_split(artifact, y).train]
+    artifact, X_all, y = load_for_data(args.model, args.data)
+    X_train = X_all[artifact.split.recover(y).train]
     rng = random.Random(args.seed)
     times: dict[str, list[float]] = {"explain": [], "screen": []}
     faults: dict[str, list[int]] = {"explain": [], "screen": []}

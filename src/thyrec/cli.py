@@ -19,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, apply_scaler, encode_with_schema, fit_scaler, label_encode,
-                   load_csv, split, split_digest, stratified_split)
+from .data import DataError, apply_scaler, fit_scaler, label_encode, load_csv
 from .lime import LimeConfig, explain
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
 from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, init_mlp,
                      predict_label, predict_proba, train)
-from .persist import (ArtifactError, ModelArtifact, SplitInfo, eval_to_dict, load_model,
+from .persist import (ArtifactError, ModelArtifact, SplitInfo, eval_to_dict, load_for_data,
                       save_model)
 
 HIDDEN_LAYOUT = [128, 64, 32]
@@ -76,34 +75,6 @@ def _report_dict(results: dict[str, ConfusionMatrix]) -> dict:
     return {name: eval_to_dict(cm, REPORT_DECIMALS) for name, cm in results.items()}
 
 
-def _make_split(y: np.ndarray, ratio: float, seed: int, stratified: bool):
-    if stratified:
-        return stratified_split(y, ratio, seed)
-    return split(len(y), ratio, seed)
-
-
-def _load_for_model(args):
-    """The artifact at args.model, then the CSV at args.data encoded with its
-    schema (nothing is inferred from the data): every row scaled with its
-    scaler, and the labels."""
-    artifact = load_model(args.model)
-    dataset, schema = load_csv(args.data), artifact.schema
-    columns = schema.feature_names + [schema.target_name]
-    if dataset.header != columns:
-        raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
-    encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
-    return artifact, apply_scaler(artifact.scaler, encoded.X), encoded.y
-
-
-def _recover_split(artifact: ModelArtifact, y: np.ndarray):
-    idx = _make_split(y, artifact.split.ratio, artifact.split.seed,
-                      artifact.split.stratified)
-    if split_digest(idx) != artifact.split.indices_digest:
-        raise DataError("data file does not reproduce the split this model was "
-                        "trained with; pass the original training CSV")
-    return idx
-
-
 def _evaluate(mlp, X: np.ndarray, y: np.ndarray) -> ConfusionMatrix:
     return confusion(y, predict_label(mlp, X))
 
@@ -112,7 +83,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     dataset = load_csv(args.data)
     encoded = label_encode(dataset)
-    idx = _make_split(encoded.y, TRAIN_RATIO, args.seed, args.stratify)
+    split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, args.seed, args.stratify)
     scaler = fit_scaler(encoded.X[idx.train])
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
     X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
@@ -139,10 +110,7 @@ def cmd_train(args) -> int:
                "test": _evaluate(mlp, X_test, y_test)}
     artifact = ModelArtifact(
         schema=encoded.schema, scaler=scaler, mlp=mlp, train_config=config,
-        final_metrics=results,
-        split=SplitInfo(seed=args.seed, ratio=TRAIN_RATIO, stratified=args.stratify,
-                        indices_digest=split_digest(idx)),
-    )
+        final_metrics=results, split=split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(artifact, str(out / "model.json"))
@@ -159,9 +127,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    artifact, X, y = _load_for_model(args)
+    artifact, X, y = load_for_data(args.model, args.data)
     if args.partition != "all":
-        idx = _recover_split(artifact, y)
+        idx = artifact.split.recover(y)
         rows = idx.train if args.partition == "train" else idx.test
         X, y = X[rows], y[rows]
     result = _evaluate(artifact.mlp, X, y)
@@ -173,10 +141,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    artifact, X, y = _load_for_model(args)
+    artifact, X, y = load_for_data(args.model, args.data)
     if not 0 <= args.index < len(y):
         raise DataError(f"index {args.index} out of range for {len(y)} rows")
-    idx = _recover_split(artifact, y)
+    idx = artifact.split.recover(y)
 
     config = LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
                         num_features=args.num_features, seed=args.seed)
@@ -185,10 +153,7 @@ def cmd_explain(args) -> int:
                      instance_index=args.index)
 
     out = Path(args.out)
-    _write_json(out / "explanation.json", {
-        **asdict(result),
-        "feature_weights": [{"feature": f, "weight": w} for f, w in result.feature_weights],
-    })
+    _write_json(out / "explanation.json", result.as_dict())
     _write_csv(out / "explanation_bars.csv", ["feature", "weight"], result.feature_weights)
 
     p0, p1 = result.class_probabilities
@@ -200,8 +165,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    artifact, X, y = _load_for_model(args)
-    idx = _recover_split(artifact, y)
+    artifact, X, y = load_for_data(args.model, args.data)
+    idx = artifact.split.recover(y)
 
     config = MorrisConfig(levels=args.levels, trajectories=args.trajectories,
                           seed=args.seed)
@@ -236,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "metrics, local explanations and global sensitivity analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, out_default="out"):
+    def common(p, model=False, out_default="out", seed=True):
         p.add_argument("--data", required=True, help="input CSV (last column = target)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out_default, help="output directory")
         if model:
             p.add_argument("--model", required=True, help="trained model artifact")
@@ -256,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="recompute metrics for a partition")
-    common(p, model=True, out_default=None)
+    common(p, model=True, out_default=None, seed=False)
     p.add_argument("--partition", choices=["train", "test", "all"], default="test")
     p.set_defaults(func=cmd_evaluate)
 

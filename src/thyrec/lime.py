@@ -21,7 +21,7 @@ samples and 16 features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class LimeConfig:
     def __post_init__(self):
         if self.num_samples < 10:
             raise ValueError("num_samples must be >= 10")
-        if self.kernel_width is not None and not self.kernel_width > 0:
-            raise ValueError("kernel_width must be > 0")
+        if self.kernel_width is not None and not 0.0 < self.kernel_width < math.inf:
+            raise ValueError("kernel_width must be a finite number > 0")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         if not 0.0 <= self.ridge_lambda < math.inf:
@@ -72,6 +72,11 @@ class Explanation:
     intercept: float
     local_r2: float
     surrogate_prediction: float
+
+    def as_dict(self) -> dict:
+        """The explanation.json shape: feature weights as {"feature", "weight"} objects."""
+        return {**asdict(self), "feature_weights": [{"feature": f, "weight": w}
+                                                    for f, w in self.feature_weights]}
 
 
 QUARTILES = np.array([0.25, 0.5, 0.75])

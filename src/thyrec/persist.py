@@ -18,7 +18,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import Feature, FeatureSchema, Scaler
+from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, apply_scaler,
+                   encode_with_schema, load_csv, split, split_digest, stratified_split)
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics
 from .neural import MLP, Layer, TrainConfig
 
@@ -43,6 +44,21 @@ class SplitInfo:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("split ratio must be in (0, 1)")
+
+    @classmethod
+    def draw(cls, y: np.ndarray, ratio: float, seed: int,
+             stratified: bool) -> tuple[SplitInfo, SplitIndices]:
+        """A seeded split of the rows labelled y (by class if stratified) and its record."""
+        idx = stratified_split(y, ratio, seed) if stratified else split(len(y), ratio, seed)
+        return cls(seed, ratio, stratified, split_digest(idx)), idx
+
+    def recover(self, y: np.ndarray) -> SplitIndices:
+        """The recorded split, redrawn from the labels y of the same table."""
+        drawn, idx = self.draw(y, self.ratio, self.seed, self.stratified)
+        if drawn.indices_digest != self.indices_digest:
+            raise DataError("data file does not reproduce the split this model was "
+                            "trained with; pass the original training CSV")
+        return idx
 
 
 @dataclass
@@ -220,3 +236,16 @@ def load_model(path: str) -> ModelArtifact:
         return _artifact_from_dict(raw)
     except (ValueError, TypeError, AttributeError) as exc:
         raise ArtifactError(f"{path}: {exc}") from exc
+
+
+def load_for_data(model_path: str, csv_path: str) -> tuple[ModelArtifact, np.ndarray, np.ndarray]:
+    """The artifact at model_path, then the CSV at csv_path encoded with its
+    schema (nothing is inferred from the data): every row scaled with its
+    scaler, and the labels."""
+    artifact = load_model(model_path)
+    dataset, schema = load_csv(csv_path), artifact.schema
+    columns = schema.feature_names + [schema.target_name]
+    if dataset.header != columns:
+        raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
+    encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
+    return artifact, apply_scaler(artifact.scaler, encoded.X), encoded.y

@@ -232,12 +232,17 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="schema inference called"):
             data.label_encode(data.load_csv(small_csv))
 
-    def test_wrong_data_for_split_exits_3(self, small_csv, tmp_path):
+    def test_wrong_data_for_split_exits_3(self, small_csv, tmp_path, capsys):
+        """A table the model's schema encodes, one row short: the uniform
+        split of 119 rows is not the one drawn from 120."""
         model = run_train(small_csv, tmp_path / "run5")
         other = tmp_path / "other.csv"
-        write_csv(other, n=120, seed=6)     # same schema, different rows
+        with open(small_csv, encoding="utf-8") as fh:
+            other.write_text("".join(fh.readlines()[:-1]), encoding="utf-8")
+        capsys.readouterr()
         assert main(["evaluate", "--model", str(model), "--data", str(other),
                      "--partition", "test"]) == 3
+        assert "does not reproduce the split" in capsys.readouterr().err
 
 
 class TestExplain:
@@ -275,11 +280,14 @@ class TestExplain:
                      "--index", "0", "--num-samples", "50", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    def test_nan_kernel_width_exits_2(self, small_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_nan_kernel_width_exits_2(self, small_csv, tmp_path, capsys, width):
+        """An infinite width would weight every sample 1.0: a global fit
+        reported as a local explanation."""
         model = run_train(small_csv, tmp_path / "run")
         capsys.readouterr()
         assert main(["explain", "--model", str(model), "--data", small_csv,
-                     "--index", "0", "--num-samples", "50", "--kernel-width", "nan",
+                     "--index", "0", "--num-samples", "50", "--kernel-width", width,
                      "--out", str(tmp_path / "exp")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "kernel_width" in err[0]
@@ -586,6 +594,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["train"])
         assert err.value.code == 2
+
+    def test_evaluate_takes_no_seed(self, capsys):
+        """evaluate is a function of the model and the table: the split's
+        seed is in the model, so a --seed flag would do nothing."""
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--model", "m.json", "--data", "d.csv", "--seed", "1"])
+        assert err.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config, mapping", [
         (["train"], TrainConfig,

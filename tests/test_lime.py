@@ -260,9 +260,10 @@ class TestSamplerDistribution:
 class TestConfig:
     @pytest.mark.parametrize("kwargs, name", [
         ({"kernel_width": float("nan")}, "kernel_width"),
+        ({"kernel_width": float("inf")}, "kernel_width"),
         ({"ridge_lambda": float("nan")}, "ridge_lambda"),
         ({"ridge_lambda": float("inf")}, "ridge_lambda")],
-        ids=["width-nan", "ridge-nan", "ridge-inf"])
+        ids=["width-nan", "width-inf", "ridge-nan", "ridge-inf"])
     def test_non_finite_rejected_naming_the_setting(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             LimeConfig(**kwargs)

@@ -1,15 +1,18 @@
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thyrec.data import Feature, FeatureSchema, Scaler
+from synth import write_csv
+from thyrec.data import DataError, Feature, FeatureSchema, Scaler, stratified_split
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
 from thyrec.cli import main as cli_main
-from thyrec.persist import ArtifactError, ModelArtifact, SplitInfo, load_model, save_model
+from thyrec.persist import (ArtifactError, ModelArtifact, SplitInfo, load_for_data,
+                            load_model, save_model)
 
 
 def make_artifact(seed=0, d=4):
@@ -279,3 +282,34 @@ class TestFuzz:
             assert cli_main(["evaluate", "--model", str(path),
                              "--data", str(tmp_path / "unread.csv")]) == 4
             assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+class TestLoadForData:
+    """A saved model and its table give back the scaled rows and, through
+    SplitInfo.recover, the split the model was trained with."""
+
+    @pytest.fixture(scope="class")
+    def stratified(self, tmp_path_factory) -> Path:
+        path = tmp_path_factory.mktemp("stratified")
+        write_csv(path / "table.csv", n=120, seed=5)
+        assert cli_main(["train", "--data", str(path / "table.csv"), "--out", str(path),
+                         "--seed", "3", "--epochs", "2", "--stratify"]) == 0
+        return path
+
+    def test_recovers_the_stratified_split(self, stratified):
+        artifact, X, y = load_for_data(str(stratified / "model.json"),
+                                       str(stratified / "table.csv"))
+        assert X.shape == (120, len(artifact.schema.features)) and y.shape == (120,)
+        idx, expected = artifact.split.recover(y), stratified_split(y, 0.8, 3)
+        assert np.array_equal(idx.train, expected.train)
+        assert np.array_equal(idx.test, expected.test)
+
+    def test_reordered_table_does_not_reproduce_the_split(self, stratified, tmp_path):
+        """The same rows in reverse order: a uniform split depends only on the
+        row count, but a stratified one moves with the labels."""
+        header, *rows = (stratified / "table.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "other.csv").write_text("".join([header, *reversed(rows)]))
+        artifact, _, y = load_for_data(str(stratified / "model.json"),
+                                       str(tmp_path / "other.csv"))
+        with pytest.raises(DataError, match="does not reproduce the split"):
+            artifact.split.recover(y)

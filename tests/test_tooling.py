@@ -1,12 +1,15 @@
 """The benchmark and script tools still run against the package.
 
 `bench/traced_cli.py` wraps thyrec functions by module and name and reads
-some of their arguments by position; `scripts/request_faults.py` imports
-private cli helpers. Both run here unmodified in subprocesses on a small
-synthetic table, so a rename or a moved argument fails this suite instead of
-the next traced benchmark run.
+some of their arguments by position; `scripts/request_faults.py` loads a
+model and its table through `persist.load_for_data`. Both run here
+unmodified in subprocesses on a small synthetic table, so a rename or a
+moved argument fails this suite instead of the next traced benchmark run.
+Neither may use a private thyrec name, so a refactor inside `src/` is free
+to rename its helpers.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from synth import write_csv
+from thyrec.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +46,14 @@ def workdir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("tooling")
     write_csv(path / "table.csv", n=120)
     return path
+
+
+@pytest.fixture(scope="module")
+def stratified_model(workdir) -> Path:
+    out = workdir / "stratified"
+    assert cli_main(["train", "--data", str(workdir / "table.csv"), "--epochs", "2",
+                     "--seed", "1", "--stratify", "--out", str(out)]) == 0
+    return out / "model.json"
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +95,65 @@ def test_request_faults_reports_its_keys(workdir, train_spans):
                            "minor_faults_per_explain", "minor_faults_per_screen"}
     for kind in ("mix", "explain", "screen"):
         assert len(report[f"minor_faults_per_{kind}"]) == 1
+
+
+def test_request_faults_serves_a_stratified_model(workdir, stratified_model):
+    done = run_tool(ROOT / "scripts" / "request_faults.py", "--model", stratified_model,
+                    "--data", workdir / "table.csv", "--warmup", "0", "--rounds", "1",
+                    "--mixes", "1")
+    assert done.returncode == 0, done.stderr
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def private_thyrec_names(source: str) -> list[str]:
+    """Every private thyrec name the source imports or reads: `from thyrec...
+    import _x`, `import thyrec._x`, and `thyrec.<mod>._x` written through
+    the package or through a name imported from it."""
+    tree = ast.parse(source)
+    names, bound = [], {}    # every imported name; a local name -> what it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = names[-1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.append(alias.name)
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+    for node in ast.walk(tree):
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        head, _, rest = (dotted or "").partition(".")
+        if head in bound:
+            names.append(f"{bound[head]}.{rest}")
+    return sorted({name for name in names if name.split(".")[0] == "thyrec"
+                   and any(part.startswith("_") and not part.endswith("__")
+                           for part in name.split(".")[1:])})
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from thyrec.cli import _load, main", ["thyrec.cli._load"]),
+    ("import thyrec.cli._helpers", ["thyrec.cli._helpers"]),
+    ("import thyrec.cli\nthyrec.cli._recover(y)", ["thyrec.cli._recover"]),
+    ("from thyrec import cli as c\nc._recover(y)", ["thyrec.cli._recover"]),
+    ("import thyrec\nfrom thyrec import data\ndata.split(3, 0.5, 1)\nthyrec.__version__", []),
+    ("from other import _x\nimport os\nos._exit(0)", []),
+], ids=["from-import", "import", "attribute", "aliased-module", "public", "not-thyrec"])
+def test_private_name_detector(source, found):
+    assert private_thyrec_names(source) == found
+
+
+def test_tools_use_no_private_thyrec_name():
+    """Nothing under bench/ or scripts/ reaches past thyrec's public names."""
+    used = {path.relative_to(ROOT).as_posix(): private_thyrec_names(path.read_text())
+            for folder in ("bench", "scripts") for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert {path: names for path, names in used.items() if names} == {}
