@@ -53,7 +53,7 @@ def main() -> None:
         parser.error("need --warmup >= 0, --rounds >= 1 and --mixes >= 1")
 
     artifact, X_all, y = load_for_data(args.model, args.data)
-    X_train = X_all[artifact.split.recover(y).train]
+    X_train = X_all[artifact.recover_split(y).train]
     rng = random.Random(args.seed)
     times: dict[str, list[float]] = {"explain": [], "screen": []}
     faults: dict[str, list[int]] = {"explain": [], "screen": []}

@@ -81,8 +81,7 @@ def _evaluate(mlp, X: np.ndarray, y: np.ndarray) -> ConfusionMatrix:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    dataset = load_csv(args.data)
-    encoded = label_encode(dataset)
+    encoded = label_encode(load_csv(args.data))   # the coded table is not kept
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, args.seed, args.stratify)
     scaler = fit_scaler(encoded.X[idx.train])
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
@@ -129,7 +128,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     artifact, X, y = load_for_data(args.model, args.data)
     if args.partition != "all":
-        idx = artifact.split.recover(y)
+        idx = artifact.recover_split(y)
         rows = idx.train if args.partition == "train" else idx.test
         X, y = X[rows], y[rows]
     result = _evaluate(artifact.mlp, X, y)
@@ -144,7 +143,7 @@ def cmd_explain(args) -> int:
     artifact, X, y = load_for_data(args.model, args.data)
     if not 0 <= args.index < len(y):
         raise DataError(f"index {args.index} out of range for {len(y)} rows")
-    idx = artifact.split.recover(y)
+    idx = artifact.recover_split(y)
 
     config = LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
                         num_features=args.num_features, seed=args.seed)
@@ -166,7 +165,7 @@ def cmd_explain(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     artifact, X, y = load_for_data(args.model, args.data)
-    idx = artifact.split.recover(y)
+    idx = artifact.recover_split(y)
 
     config = MorrisConfig(levels=args.levels, trajectories=args.trajectories,
                           seed=args.seed)

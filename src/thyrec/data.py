@@ -1,5 +1,6 @@
-"""CSV loading, schema inference, label encoding, train/test splitting
-and standardization for tabular binary-outcome datasets.
+"""CSV loading into dictionary-coded columns, schema inference, label
+encoding, train/test splitting and standardization for tabular
+binary-outcome datasets.
 
 All categorical handling is label encoding against a sorted vocabulary, so
 results do not depend on row order in the input file.
@@ -10,11 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
+BLOCK_ROWS = 4096     # lines cut into cells per block: bounds the cells held at once
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
@@ -67,14 +70,52 @@ class FeatureSchema:
         return [f.name for f in self.features]
 
 
+class Column(Sequence):
+    """One column's cells, dictionary-coded: each distinct cell once in
+    `values`, and for each row its index there in `codes` ((n,) int32)."""
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: tuple[str, ...], codes: np.ndarray):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> str:
+        return self.values[self.codes[i]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+
+class CodedRows(Sequence):
+    """n rows of cells stored as Columns; indexing or iterating builds the
+    rows as lists."""
+    __slots__ = ("columns", "n")
+
+    def __init__(self, columns: tuple[Column, ...], n: int):
+        self.columns, self.n = columns, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> list[str]:
+        return [column[i] for column in self.columns]
+
+    def __iter__(self):
+        if not self.columns:
+            return ([] for _ in range(self.n))
+        return map(list, zip(*self.columns))
+
+
 @dataclass
 class Dataset:
     header: list[str]
-    rows: list[list[str]]    # feature cells, without the target
-    targets: list[str]
+    rows: Sequence       # feature cells row by row, without the target: CodedRows
+    targets: Sequence    # target cells: a Column
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.targets)
 
 
 @dataclass
@@ -106,44 +147,82 @@ def _numbers(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _codes(vocab: tuple[str, ...], cells, what: str) -> np.ndarray:
-    """Index of each cell in vocab; DataError on any other value."""
+def _lookup(vocab: tuple[str, ...], column: Column, what: str) -> np.ndarray:
+    """Index in vocab of each of column's distinct values; DataError naming
+    the value, first in row order, that vocab lacks."""
     index = {c: k for k, c in enumerate(vocab)}
-    try:
-        return np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
-    except KeyError as exc:
-        raise DataError(f"{what}: value {exc.args[0]!r} not in vocab") from None
+    lut = np.array([index.get(v, -1) for v in column.values], dtype=np.int64)
+    if (lut < 0).any():
+        first = column.codes[np.argmax(lut[column.codes] < 0)]
+        raise DataError(f"{what}: value {column.values[first]!r} not in vocab")
+    return lut
 
 
-def build_schema(header: list[str], rows: list[list[str]],
-                 targets: list[str]) -> FeatureSchema:
+def _factorise(blocks: Iterable[list[str]], k: int) -> list[Column]:
+    """Dictionary-code a table given as blocks of cells, row by row, k per
+    row: one Column per column.
+
+    One dictionary covers the whole table while the cells stream in (cells
+    are visited in the order they were made, which is faster than column by
+    column), then each column keeps only the values it holds. Equal cells
+    of any column end up as one string object."""
+    index: dict[str, int] = {}
+
+    def code(cells: list[str]) -> np.ndarray:
+        return np.fromiter(map(index.__getitem__, cells), np.int32, len(cells))
+
+    parts = [np.empty(0, dtype=np.int32)]
+    for cells in blocks:
+        try:
+            parts.append(code(cells))
+        except KeyError:        # new values: give them codes, first seen first
+            for value in dict.fromkeys(cells):
+                index.setdefault(value, len(index))
+            parts.append(code(cells))
+    codes = np.concatenate(parts).reshape(-1, k)
+    values, columns = tuple(index), []
+    for table_codes in codes.T:
+        held = np.flatnonzero(np.bincount(table_codes, minlength=len(values)))
+        local = np.zeros(len(values), dtype=np.int32)
+        local[held] = np.arange(len(held), dtype=np.int32)
+        columns.append(Column(tuple(values[v] for v in held), local[table_codes]))
+    return columns
+
+
+def _column(cells) -> Column:
+    """Plain cells, dictionary-coded; a Column is returned as it is."""
+    return cells if isinstance(cells, Column) else _factorise([list(cells)], 1)[0]
+
+
+def _feature_columns(rows, d: int) -> list[Column]:
+    """The first d columns of rows (CodedRows, or plain rows of cells) as
+    Columns; fewer when a row has fewer cells."""
+    if isinstance(rows, CodedRows):
+        return list(rows.columns[:d])
+    return [_column(cells) for cells in (list(zip(*rows)) or [()] * d)[:d]]
+
+
+def build_schema(header: list[str], rows, targets) -> FeatureSchema:
     """Infer a schema from a raw table: feature rows, and their targets named
     by the header's last column.
 
-    A column is numeric iff every cell parses as a finite number, otherwise
-    categorical with a sorted deduplicated vocab. The positive target class
-    is the lexicographically later of the two target strings.
+    A column is numeric iff every distinct cell parses as a finite number,
+    otherwise categorical with a sorted deduplicated vocab. The positive
+    target class is the lexicographically later of the two target strings.
     """
-    return _infer_schema(header, _columns(rows, len(header) - 1), targets)
+    return _infer_schema(header, _feature_columns(rows, len(header) - 1), _column(targets))
 
 
-def _columns(rows: list[list[str]], d: int) -> list[tuple[str, ...]]:
-    """The table's cells column by column (d empty columns when there are no
-    rows): the one transpose that schema inference and encoding share."""
-    return list(zip(*rows)) or [()] * d
-
-
-def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
-                  targets: list[str]) -> FeatureSchema:
-    if not targets:
+def _infer_schema(header: list[str], columns: list[Column], target: Column) -> FeatureSchema:
+    if not len(target):
         raise DataError("no data rows")
     names = header[:-1]
     if len(set(names)) != len(names) or any(not n for n in names):
         raise DataError("column names must be unique and non-empty")
-    features = [Feature(name, NUMERIC) if _numbers(cells) is not None
-                else Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
-                for name, cells in zip(names, columns)]
-    distinct = sorted(set(targets))
+    features = [Feature(name, NUMERIC) if _numbers(column.values) is not None
+                else Feature(name, CATEGORICAL, tuple(sorted(column.values)))
+                for name, column in zip(names, columns)]
+    distinct = sorted(target.values)
     if len(distinct) != 2:
         raise DataError(f"target has {len(distinct)} distinct values, expected 2: {distinct[:5]}")
     return FeatureSchema(tuple(features), target_name=header[-1],
@@ -151,78 +230,147 @@ def _infer_schema(header: list[str], columns: list[tuple[str, ...]],
 
 
 def load_csv(path: str) -> Dataset:
-    """Load a CSV whose last column is a binary target.
+    """Load a CSV whose last column is a binary target, as coded columns.
 
-    The header row names the columns; nothing is inferred (`label_encode` and
-    `build_schema` infer a schema from the cells).
-    Blank lines are skipped. A record with the wrong number of cells raises
+    The file is RFC 4180 text in UTF-8, with or without a byte-order mark,
+    and with LF or CRLF line ends. The first non-blank record is the header;
+    it names the columns, and nothing is inferred (`label_encode` and
+    `build_schema` infer a schema from the cells). Blank lines are skipped.
+    A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
-    Each cell is interned as it is parsed, so every distinct value is stored
-    once and equal cells share one string: the table's memory grows with
-    rows x columns pointers plus the distinct values, not with one string
-    per cell, and the transpose and vocabulary lookups that follow touch a
-    few cache-resident strings. The values themselves are unchanged.
+    Lines are read in blocks of BLOCK_ROWS and cut into cells with
+    `str.split`, which on text without a '"' or a bare carriage return is
+    exactly what csv's excel dialect yields; from the first block holding
+    either (or a line longer than csv's field size limit), `csv.reader`
+    reads on. Both feed one dictionary coder, so each distinct value is
+    stored once, every cell is one int32 code, and schema inference and
+    encoding work on the distinct values only.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(filter(None, csv.reader(fh)), None)
             if header is None:
                 raise DataError(f"{path}: empty file")
-            header = list(map(sys.intern, header))
-            rows, start = [], reader.line_num + 1
-            for row in reader:
-                if row:  # tolerate blank lines
-                    if len(row) != len(header):
-                        raise DataError(f"line {start}: expected {len(header)} cells, "
-                                        f"got {len(row)}")
-                    rows.append(list(map(sys.intern, row)))
-                start = reader.line_num + 1
+            k = len(header)
+            columns = _factorise(_split_blocks(fh, k), k)
+            n = len(columns[-1])
+            if not n:
+                raise DataError(f"{path}: header only, no data rows")
+            empty = [(int(np.argmax(column.codes == column.values.index(""))), j)
+                     for j, column in enumerate(columns) if "" in column.values]
+            if empty:
+                row, j = min(empty)
+                raise DataError(f"line {_record_line(fh, row)}: empty cell in "
+                                f"column {header[j]!r}")
     except FileNotFoundError as exc:
         raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: header only, no data rows")
-    targets = [row.pop() for row in rows]
-    return Dataset(header=header, rows=rows, targets=targets)
+    return Dataset(header=header, rows=CodedRows(tuple(columns[:-1]), n),
+                   targets=columns[-1])
+
+
+def _split_blocks(fh, k: int) -> Iterator[list[str]]:
+    """The cells of fh's remaining records, k per record, row by row, in
+    blocks of up to BLOCK_ROWS lines; each line is cut at its commas. From
+    the first block holding a '"', a bare carriage return or a line longer
+    than csv's field size limit on, `_csv_blocks` reads instead."""
+    row = 0
+    while block := list(islice(fh, BLOCK_ROWS)):
+        text = "".join(block)
+        crlf = "\r" in text
+        if '"' in text or crlf and text.count("\r") != text.count("\r\n") \
+                or max(map(len, block)) > csv.field_size_limit():
+            yield from _csv_blocks(fh, k, row, block)
+            return
+        lines = (text.replace("\r\n", "\n") if crlf else text).split("\n")
+        if not lines[-1]:
+            lines.pop()             # what follows the last line end
+        if "" in lines:
+            lines = list(filter(None, lines))
+        _check_commas(fh, row, list(map(str.count, lines, repeat(","))), k)
+        if lines:
+            yield ",".join(lines).split(",")
+        row += len(lines)
+
+
+def _csv_blocks(fh, k: int, row: int = 0, pending: Iterable[str] = ()) -> Iterator[list[str]]:
+    """As `_split_blocks`, through csv.reader: the pending lines, then fh's
+    remaining ones, records numbered from row."""
+    reader = csv.reader(chain(pending, fh))
+    while block := list(islice(reader, BLOCK_ROWS)):
+        records = list(filter(None, block))
+        _check_commas(fh, row, [len(record) - 1 for record in records], k)
+        yield list(chain.from_iterable(records))
+        row += len(records)
+
+
+def _check_commas(fh, row: int, commas: list[int], k: int) -> None:
+    """DataError at the first of the records numbered from row whose count of
+    cell separators is not k - 1."""
+    if commas.count(k - 1) != len(commas):
+        i = next(i for i, c in enumerate(commas) if c != k - 1)
+        raise DataError(f"line {_record_line(fh, row + i)}: expected {k} cells, "
+                        f"got {commas[i] + 1}")
+
+
+def _record_line(fh, row: int) -> int:
+    """The file line on which data record `row` starts (0-based; the header
+    and blank lines are not data records), found by reading fh again."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    start, seen = 1, -1         # the header is record -1
+    for record in reader:
+        if record:
+            if seen == row:
+                return start
+            seen += 1
+        start = reader.line_num + 1
+    return start                # not reached: row numbers a record of fh
 
 
 def label_encode(dataset: Dataset) -> EncodedDataset:
     """Encode categoricals to their sorted-vocab index, targets to {0, 1}
     with the positive class = the lexicographically later target string.
-    The schema is inferred from, and the cells encoded from, one transpose."""
-    columns = _columns(dataset.rows, len(dataset.header) - 1)
-    schema = _infer_schema(dataset.header, columns, dataset.targets)
-    return _encode_columns(columns, len(dataset.rows), dataset.targets, schema)
+    The schema is inferred from, and the cells encoded from, the same coded
+    columns."""
+    columns = _feature_columns(dataset.rows, len(dataset.header) - 1)
+    target = _column(dataset.targets)
+    schema = _infer_schema(dataset.header, columns, target)
+    return _encode_columns(columns, len(dataset.rows), target, schema)
 
 
-def encode_with_schema(rows: list[list[str]], targets: list[str],
-                       schema: FeatureSchema) -> EncodedDataset:
-    """Encode raw rows against a fixed schema (used when evaluating new data
-    with a trained model's schema), one column at a time. Raises DataError
-    on any cell the schema cannot encode."""
-    n, d = len(rows), len(schema.features)
-    if min(map(len, rows), default=d) < d:
+def encode_with_schema(rows, targets, schema: FeatureSchema) -> EncodedDataset:
+    """Encode rows (CodedRows, or plain rows of cells) and their targets
+    against a fixed schema (used when evaluating new data with a trained
+    model's schema), one column at a time. Raises DataError on any cell the
+    schema cannot encode."""
+    d = len(schema.features)
+    columns = _feature_columns(rows, d)
+    if len(columns) < d:
         raise DataError(f"a row has fewer than the schema's {d} feature cells")
-    return _encode_columns(_columns(rows, d), n, targets, schema)
+    return _encode_columns(columns, len(rows), _column(targets), schema)
 
 
-def _encode_columns(columns: list[tuple[str, ...]], n: int, targets: list[str],
+def _encode_columns(columns: list[Column], n: int, target: Column,
                     schema: FeatureSchema) -> EncodedDataset:
-    """Encode n rows, given column by column, against schema."""
-    if len(targets) != n:
-        raise DataError(f"{n} rows but {len(targets)} targets")
+    """Encode n rows, given as coded columns, against schema: each distinct
+    value is parsed or looked up once, and a gather by code fills X and y."""
+    if len(target) != n:
+        raise DataError(f"{n} rows but {len(target)} targets")
     X = np.empty((n, len(schema.features)), dtype=np.float64)
-    for j, (feat, cells) in enumerate(zip(schema.features, columns)):
+    for j, (feat, column) in enumerate(zip(schema.features, columns)):
         what = f"column {feat.name!r}"
-        values = _numbers(cells) if feat.kind == NUMERIC else _codes(feat.vocab, cells, what)
-        if values is None:
-            raise DataError(f"{what}: a cell is not a finite number")
-        X[:, j] = values
+        if feat.kind == NUMERIC:
+            lut = _numbers(column.values)
+            if lut is None:
+                raise DataError(f"{what}: a cell is not a finite number")
+        else:
+            lut = _lookup(feat.vocab, column, what)
+        X[:, j] = lut[column.codes]
     # target_vocab is ascending, so a target's index is its 0/1 label
-    y = _codes(schema.target_vocab, targets, "target")
+    y = _lookup(schema.target_vocab, target, "target")[target.codes]
     return EncodedDataset(X=X, y=y, schema=schema)
 
 

@@ -52,14 +52,6 @@ class SplitInfo:
         idx = stratified_split(y, ratio, seed) if stratified else split(len(y), ratio, seed)
         return cls(seed, ratio, stratified, split_digest(idx)), idx
 
-    def recover(self, y: np.ndarray) -> SplitIndices:
-        """The recorded split, redrawn from the labels y of the same table."""
-        drawn, idx = self.draw(y, self.ratio, self.seed, self.stratified)
-        if drawn.indices_digest != self.indices_digest:
-            raise DataError("data file does not reproduce the split this model was "
-                            "trained with; pass the original training CSV")
-        return idx
-
 
 @dataclass
 class ModelArtifact:
@@ -69,6 +61,31 @@ class ModelArtifact:
     train_config: TrainConfig
     final_metrics: dict[str, ConfusionMatrix]   # counts under "train" and "test"
     split: SplitInfo
+
+    def recover_split(self, y: np.ndarray) -> SplitIndices:
+        """The recorded split, redrawn from the labels y of the same table.
+        The redrawn indices must match the recorded digest, and each
+        partition's positive and negative rows the counts in final_metrics
+        (a uniform split depends on the row count alone, so a reordered
+        table passes the digest)."""
+        split = self.split
+        drawn, idx = split.draw(y, split.ratio, split.seed, split.stratified)
+        if drawn.indices_digest != split.indices_digest:
+            raise DataError("data file does not reproduce the split this model was "
+                            "trained with; pass the original training CSV")
+        for name, rows in (("train", idx.train), ("test", idx.test)):
+            cm = self.final_metrics.get(name)
+            if cm is None:
+                continue
+            positives = int(y[rows].sum())
+            held, recorded = (positives, len(rows) - positives), (cm.tp + cm.fn, cm.tn + cm.fp)
+            if held != recorded:
+                raise DataError(
+                    f"data file does not reproduce the split this model was trained with: "
+                    f"its {name} partition holds {held[0]} positive and {held[1]} negative "
+                    f"rows, the model's {recorded[0]} and {recorded[1]}; pass the original "
+                    f"training CSV")
+        return idx
 
 
 def eval_to_dict(cm: ConfusionMatrix, decimals: int | None = None) -> dict:

@@ -244,6 +244,57 @@ class TestEvaluate:
                      "--partition", "test"]) == 3
         assert "does not reproduce the split" in capsys.readouterr().err
 
+    def test_reordered_table_with_the_same_row_count_exits_3(self, small_csv, tmp_path,
+                                                             capsys):
+        """The rows reversed: a uniform split of 120 rows redraws the same
+        indices, so the digest matches, but the partitions' class counts do
+        not match the model's (positives 25 train and 2 test, read back as 20
+        and 7)."""
+        model = run_train(small_csv, tmp_path / "run")
+        header, *rows = Path(small_csv).read_text().splitlines(keepends=True)
+        other = tmp_path / "reversed.csv"
+        other.write_text("".join([header, *reversed(rows)]))
+        common = ["--model", str(model), "--data", str(other)]
+        for argv in (["evaluate", "--partition", "test"],
+                     ["explain", "--index", "0", "--out", str(tmp_path / "exp")],
+                     ["sensitivity", "--out", str(tmp_path / "sens")]):
+            capsys.readouterr()
+            assert main([*argv, *common]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: data file does not reproduce the split this model was "
+                           "trained with: its train partition holds 20 positive and 76 "
+                           "negative rows, the model's 25 and 71; pass the original "
+                           "training CSV"]
+        assert not (tmp_path / "exp").exists() and not (tmp_path / "sens").exists()
+        assert main(["evaluate", "--partition", "all", *common]) == 0
+
+    def test_byte_order_mark_is_read_as_text(self, small_csv, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark trains the same model
+        bytes as the plain file, and the model commands accept it."""
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(small_csv).read_bytes())
+        plain = run_train(small_csv, tmp_path / "plain")
+        assert run_train(str(bom), tmp_path / "bom").read_bytes() == plain.read_bytes()
+        common = ["--model", str(plain), "--data", str(bom)]
+        assert main(["evaluate", *common, "--out", str(tmp_path / "eval")]) == 0
+        assert main(["explain", *common, "--index", "0", "--num-samples", "50",
+                     "--out", str(tmp_path / "exp")]) == 0
+        assert main(["sensitivity", *common, "--trajectories", "4",
+                     "--out", str(tmp_path / "sens")]) == 0
+
+    def test_empty_cell_exits_3_naming_column_and_line(self, small_csv, tmp_path, capsys):
+        lines = Path(small_csv).read_text().splitlines(keepends=True)
+        lines[7] = "," + lines[7].split(",", 1)[1]
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines))
+        model = run_train(small_csv, tmp_path / "run")
+        capsys.readouterr()
+        for argv in (["train", "--out", str(tmp_path / "t")],
+                     ["evaluate", "--model", str(model), "--partition", "all"]):
+            assert main([*argv, "--data", str(blank)]) == 3
+            assert capsys.readouterr().err.splitlines() == \
+                ["error: line 8: empty cell in column 'Age'"]
+
 
 class TestExplain:
     def test_report_and_bars(self, small_csv, tmp_path):
@@ -482,7 +533,8 @@ def _truncate(raw: bytes, rng) -> bytes:
 CSV_MUTATIONS = {
     "drop-cell": (_cells(lambda rows, rng: _row(rows, rng).pop()), 3, 3),
     "add-cell": (_cells(lambda rows, rng: _row(rows, rng).append("x")), 3, 3),
-    "blank-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "", True)), 0, 3),
+    "blank-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "", True)), 3, 3),
+    "blank-category": (_cells(lambda rows, rng: _set_feature(rows, rng, "", False)), 3, 3),
     "nan-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "nan", True)), 0, 3),
     "inf-number": (_cells(lambda rows, rng: _set_feature(rows, rng, "inf", True)), 0, 3),
     "unknown-category": (_cells(lambda rows, rng: _set_feature(rows, rng, "??", False)),

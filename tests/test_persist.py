@@ -286,7 +286,7 @@ class TestFuzz:
 
 class TestLoadForData:
     """A saved model and its table give back the scaled rows and, through
-    SplitInfo.recover, the split the model was trained with."""
+    ModelArtifact.recover_split, the split the model was trained with."""
 
     @pytest.fixture(scope="class")
     def stratified(self, tmp_path_factory) -> Path:
@@ -300,7 +300,7 @@ class TestLoadForData:
         artifact, X, y = load_for_data(str(stratified / "model.json"),
                                        str(stratified / "table.csv"))
         assert X.shape == (120, len(artifact.schema.features)) and y.shape == (120,)
-        idx, expected = artifact.split.recover(y), stratified_split(y, 0.8, 3)
+        idx, expected = artifact.recover_split(y), stratified_split(y, 0.8, 3)
         assert np.array_equal(idx.train, expected.train)
         assert np.array_equal(idx.test, expected.test)
 
@@ -312,4 +312,4 @@ class TestLoadForData:
         artifact, _, y = load_for_data(str(stratified / "model.json"),
                                        str(tmp_path / "other.csv"))
         with pytest.raises(DataError, match="does not reproduce the split"):
-            artifact.split.recover(y)
+            artifact.recover_split(y)
