@@ -6,8 +6,8 @@ sensitivity screening, with a CLI front end (`thyrec`).
 """
 
 from .data import (Dataset, EncodedDataset, Feature, FeatureSchema, Scaler,
-                   SplitIndices, apply_scaler, build_schema, fit_scaler,
-                   label_encode, load_csv, split, split_digest, stratified_split)
+                   SplitIndices, apply_scaler, fit_scaler, label_encode,
+                   load_csv, split, split_digest, stratified_split)
 from .lime import Explanation, LimeConfig, explain
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .morris import FeatureRanges, MorrisConfig, MorrisResult, analyze

@@ -111,8 +111,8 @@ class CodedRows(Sequence):
 @dataclass
 class Dataset:
     header: list[str]
-    rows: Sequence       # feature cells row by row, without the target: CodedRows
-    targets: Sequence    # target cells: a Column
+    rows: CodedRows      # feature cells row by row, without the target
+    targets: Column      # target cells
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -147,14 +147,18 @@ def _numbers(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
+def _first_in_rows(column: Column, flagged: np.ndarray) -> str:
+    """The first cell, in row order, whose value flagged marks (a bool per value)."""
+    return column.values[column.codes[np.argmax(flagged[column.codes])]]
+
+
 def _lookup(vocab: tuple[str, ...], column: Column, what: str) -> np.ndarray:
     """Index in vocab of each of column's distinct values; DataError naming
     the value, first in row order, that vocab lacks."""
     index = {c: k for k, c in enumerate(vocab)}
     lut = np.array([index.get(v, -1) for v in column.values], dtype=np.int64)
     if (lut < 0).any():
-        first = column.codes[np.argmax(lut[column.codes] < 0)]
-        raise DataError(f"{what}: value {column.values[first]!r} not in vocab")
+        raise DataError(f"{what}: value {_first_in_rows(column, lut < 0)!r} not in vocab")
     return lut
 
 
@@ -189,31 +193,10 @@ def _factorise(blocks: Iterable[list[str]], k: int) -> list[Column]:
     return columns
 
 
-def _column(cells) -> Column:
-    """Plain cells, dictionary-coded; a Column is returned as it is."""
-    return cells if isinstance(cells, Column) else _factorise([list(cells)], 1)[0]
-
-
-def _feature_columns(rows, d: int) -> list[Column]:
-    """The first d columns of rows (CodedRows, or plain rows of cells) as
-    Columns; fewer when a row has fewer cells."""
-    if isinstance(rows, CodedRows):
-        return list(rows.columns[:d])
-    return [_column(cells) for cells in (list(zip(*rows)) or [()] * d)[:d]]
-
-
-def build_schema(header: list[str], rows, targets) -> FeatureSchema:
-    """Infer a schema from a raw table: feature rows, and their targets named
-    by the header's last column.
-
-    A column is numeric iff every distinct cell parses as a finite number,
+def _infer_schema(header: list[str], columns: Sequence[Column], target: Column) -> FeatureSchema:
+    """A column is numeric iff every distinct cell parses as a finite number,
     otherwise categorical with a sorted deduplicated vocab. The positive
-    target class is the lexicographically later of the two target strings.
-    """
-    return _infer_schema(header, _feature_columns(rows, len(header) - 1), _column(targets))
-
-
-def _infer_schema(header: list[str], columns: list[Column], target: Column) -> FeatureSchema:
+    target class is the lexicographically later of the two target strings."""
     if not len(target):
         raise DataError("no data rows")
     names = header[:-1]
@@ -234,8 +217,8 @@ def load_csv(path: str) -> Dataset:
 
     The file is RFC 4180 text in UTF-8, with or without a byte-order mark,
     and with LF or CRLF line ends. The first non-blank record is the header;
-    it names the columns, and nothing is inferred (`label_encode` and
-    `build_schema` infer a schema from the cells). Blank lines are skipped.
+    it names the columns, and nothing is inferred (`label_encode` infers a
+    schema from the cells). Blank lines are skipped.
     A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
@@ -332,45 +315,34 @@ def _record_line(fh, row: int) -> int:
 
 def label_encode(dataset: Dataset) -> EncodedDataset:
     """Encode categoricals to their sorted-vocab index, targets to {0, 1}
-    with the positive class = the lexicographically later target string.
-    The schema is inferred from, and the cells encoded from, the same coded
-    columns."""
-    columns = _feature_columns(dataset.rows, len(dataset.header) - 1)
-    target = _column(dataset.targets)
-    schema = _infer_schema(dataset.header, columns, target)
-    return _encode_columns(columns, len(dataset.rows), target, schema)
+    with the positive class = the lexicographically later target string,
+    against the schema inferred from the same coded columns."""
+    schema = _infer_schema(dataset.header, dataset.rows.columns, dataset.targets)
+    return encode_with_schema(dataset.rows, dataset.targets, schema)
 
 
-def encode_with_schema(rows, targets, schema: FeatureSchema) -> EncodedDataset:
-    """Encode rows (CodedRows, or plain rows of cells) and their targets
-    against a fixed schema (used when evaluating new data with a trained
-    model's schema), one column at a time. Raises DataError on any cell the
-    schema cannot encode."""
-    d = len(schema.features)
-    columns = _feature_columns(rows, d)
-    if len(columns) < d:
+def encode_with_schema(rows: CodedRows, targets: Column,
+                       schema: FeatureSchema) -> EncodedDataset:
+    """Encode a loaded table against a fixed schema (a trained model's, when
+    scoring new data): each distinct value is parsed or looked up once, and
+    a gather by code fills X and y. DataError names the first cell in row
+    order that the schema cannot encode."""
+    d, n = len(schema.features), len(rows)
+    if len(rows.columns) < d:
         raise DataError(f"a row has fewer than the schema's {d} feature cells")
-    return _encode_columns(columns, len(rows), _column(targets), schema)
-
-
-def _encode_columns(columns: list[Column], n: int, target: Column,
-                    schema: FeatureSchema) -> EncodedDataset:
-    """Encode n rows, given as coded columns, against schema: each distinct
-    value is parsed or looked up once, and a gather by code fills X and y."""
-    if len(target) != n:
-        raise DataError(f"{n} rows but {len(target)} targets")
-    X = np.empty((n, len(schema.features)), dtype=np.float64)
-    for j, (feat, column) in enumerate(zip(schema.features, columns)):
+    if len(targets) != n:
+        raise DataError(f"{n} rows but {len(targets)} targets")
+    X = np.empty((n, d), dtype=np.float64)
+    for j, (feat, column) in enumerate(zip(schema.features, rows.columns)):
         what = f"column {feat.name!r}"
-        if feat.kind == NUMERIC:
-            lut = _numbers(column.values)
-            if lut is None:
-                raise DataError(f"{what}: a cell is not a finite number")
-        else:
+        if feat.kind == CATEGORICAL:
             lut = _lookup(feat.vocab, column, what)
+        elif (lut := _numbers(column.values)) is None:
+            bad = np.array([_numbers([v]) is None for v in column.values])
+            raise DataError(f"{what}: value {_first_in_rows(column, bad)!r} is not a finite number")
         X[:, j] = lut[column.codes]
     # target_vocab is ascending, so a target's index is its 0/1 label
-    y = _lookup(schema.target_vocab, target, "target")[target.codes]
+    y = _lookup(schema.target_vocab, targets, "target")[targets.codes]
     return EncodedDataset(X=X, y=y, schema=schema)
 
 

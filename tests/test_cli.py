@@ -201,23 +201,9 @@ class TestEvaluate:
         cm = json.loads((out / "eval_report.json").read_text())["all"]["confusion"]
         assert cm["tp"] + cm["fn"] == len(positives) and cm["fp"] + cm["tn"] == 0
 
-    def test_model_commands_never_infer_a_schema(self, small_csv, tmp_path, monkeypatch):
-        model = run_train(small_csv, tmp_path / "run")
-
-        def refuse(*args):
-            raise RuntimeError("build_schema called")
-        monkeypatch.setattr(data, "build_schema", refuse)
-        common = ["--model", str(model), "--data", small_csv]
-        assert main(["evaluate", *common, "--partition", "all"]) == 0
-        assert main(["explain", *common, "--index", "0", "--num-samples", "50",
-                     "--out", str(tmp_path / "exp")]) == 0
-        assert main(["sensitivity", *common, "--trajectories", "4",
-                     "--out", str(tmp_path / "sens")]) == 0
-
     def test_model_commands_never_run_schema_inference(self, small_csv, tmp_path,
                                                         monkeypatch):
-        # label_encode infers its schema without build_schema, from the same
-        # transpose it encodes, so guard the helper both of them use
+        # _infer_schema is the one place a schema is inferred, for label_encode
         model = run_train(small_csv, tmp_path / "run")
 
         def refuse(*args):
@@ -294,6 +280,18 @@ class TestEvaluate:
             assert main([*argv, "--data", str(blank)]) == 3
             assert capsys.readouterr().err.splitlines() == \
                 ["error: line 8: empty cell in column 'Age'"]
+
+    def test_non_finite_number_exits_3_naming_the_value(self, small_csv, tmp_path, capsys):
+        lines = Path(small_csv).read_text().splitlines(keepends=True)
+        lines[6] = "nan," + lines[6].split(",", 1)[1]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("".join(lines))
+        model = run_train(small_csv, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--data", str(bad),
+                     "--partition", "all"]) == 3
+        assert capsys.readouterr().err.splitlines() == \
+            ["error: column 'Age': value 'nan' is not a finite number"]
 
 
 class TestExplain:

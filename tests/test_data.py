@@ -7,16 +7,27 @@ import pytest
 
 from synth import write_csv
 from thyrec import data
-from thyrec.data import (BLOCK_ROWS, CATEGORICAL, NUMERIC, DataError, Dataset, _numbers,
-                         apply_scaler, build_schema, decode_category, encode_with_schema,
-                         fit_scaler, label_encode, load_csv, split, split_digest,
-                         stratified_split)
+from thyrec.data import (BLOCK_ROWS, CATEGORICAL, NUMERIC, DataError, Feature,
+                         FeatureSchema, _numbers, apply_scaler, decode_category,
+                         encode_with_schema, fit_scaler, label_encode, load_csv, split,
+                         split_digest, stratified_split)
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def schema_of(tmp_path, text):
+    """The schema label_encode infers from the CSV text."""
+    return label_encode(load_csv(write(tmp_path, text, "train.csv"))).schema
+
+
+def encode(tmp_path, text, schema):
+    """The CSV text loaded and encoded with schema."""
+    ds = load_csv(write(tmp_path, text))
+    return encode_with_schema(ds.rows, ds.targets, schema)
 
 
 TOY = "Age,Gender,Recurred\n34,F,No\n51,M,Yes\n29,F,No\n"
@@ -26,7 +37,7 @@ class TestLoadCsv:
     def test_recurrence_file_shape(self, recurrence_source):
         ds = load_csv(str(recurrence_source.path))
         assert len(ds) == 383
-        schema = build_schema(ds.header, ds.rows, ds.targets)
+        schema = label_encode(ds).schema
         assert len(schema.features) == 16
         assert schema.target_name == "Recurred"
 
@@ -40,7 +51,7 @@ class TestLoadCsv:
     def test_toy_csv(self, tmp_path):
         ds = load_csv(write(tmp_path, TOY))
         assert len(ds) == 3
-        assert build_schema(ds.header, ds.rows, ds.targets).feature_names == ["Age", "Gender"]
+        assert label_encode(ds).schema.feature_names == ["Age", "Gender"]
 
     def test_header_only_is_empty(self, tmp_path):
         with pytest.raises(DataError, match="header only, no data rows"):
@@ -117,8 +128,12 @@ CORPUS = {
     "third-class": table(edit(6, "70,F,Maybe")),
     "long-field": table(edit(1, "51," + "M" * (csv.field_size_limit() + 1) + ",Yes")),
     "unseen-categories": table(edit(2, "29,X,No")[:4] + ["45,Yes,No"] + ROWS[5:]),
+    "non-finite-numbers": table(edit(2, "nan,F,No")[:4] + ["M,F,No"] + ROWS[5:]),
 }
-SCHEMA = build_schema(["Age", "Gender", "Recurred"], [["1", "F"], ["2", "M"]], ["No", "Yes"])
+SCHEMA = FeatureSchema((Feature("Age", NUMERIC), Feature("Gender", CATEGORICAL, ("F", "M"))),
+                       target_name="Recurred", target_vocab=("No", "Yes"))
+# texts encoded with SCHEMA; the others with the schema inferred from them
+WITH_SCHEMA = ("unseen-categories", "non-finite-numbers")
 
 
 def load_outcome(path, schema):
@@ -143,7 +158,7 @@ class TestTokenizers:
     def test_split_matches_csv_reader(self, tmp_path, monkeypatch, name, block_rows):
         path = tmp_path / "t.csv"
         path.write_bytes(CORPUS[name].encode())
-        schema = SCHEMA if name == "unseen-categories" else None
+        schema = SCHEMA if name in WITH_SCHEMA else None
         monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
         got = load_outcome(path, schema)
         monkeypatch.setattr(data, "_split_blocks", data._csv_blocks)
@@ -185,25 +200,53 @@ class TestTokenizers:
         ("empty-quoted", "line 4: empty cell in column 'Age'"),
         ("empty-first-in-row-order", "line 3: empty cell in column 'Gender'"),
         ("unseen-categories", "column 'Gender': value 'X' not in vocab"),
+        ("non-finite-numbers", "column 'Age': value 'nan' is not a finite number"),
     ])
     def test_errors_name_the_first_fault(self, tmp_path, monkeypatch, name, message):
-        """The file line of the first faulty record; of two unseen categories,
-        the one met first in row order ('Yes' was met first in the file, as a
-        target). An empty cell is an error, not a category: a blank Age would
+        """The file line of the first faulty record; of two unseen categories
+        or two cells that are not finite numbers, the one met first in row
+        order ('Yes' and 'M' were met first in the file, in other columns).
+        An empty cell is an error, not a category: a blank Age would
         otherwise turn the numeric column categorical."""
         path = tmp_path / "t.csv"
         path.write_bytes(CORPUS[name].encode())
-        schema = SCHEMA if name == "unseen-categories" else None
+        schema = SCHEMA if name in WITH_SCHEMA else None
         for block_rows in (3, BLOCK_ROWS):
             monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
             assert load_outcome(path, schema) == (DataError, message)
 
 
-def plain_table(path) -> Dataset:
-    """The table as a plain csv.reader parse builds it: one string per cell."""
+def plain_parse(path) -> tuple[list[str], list[list[str]], list[str]]:
+    """The header, feature rows and targets of a plain csv.reader parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
-    return Dataset(header=header, rows=rows, targets=[row.pop() for row in rows])
+    return header, rows, [row.pop() for row in rows]
+
+
+def reference_encoding(header, rows, targets):
+    """Schema, X and y encoded cell by cell: a column is numeric iff float()
+    gives a finite value for each of its cells, and then holds those values;
+    otherwise each cell becomes its index in the column's sorted vocabulary.
+    A target becomes its index in the sorted pair of target values."""
+    features, columns = [], []
+    for name, cells in zip(header, zip(*rows)):
+        try:
+            values = [float(cell) for cell in cells]
+            numeric = all(map(math.isfinite, values))
+        except ValueError:
+            numeric = False
+        if numeric:
+            features.append(Feature(name, NUMERIC))
+            columns.append(values)
+        else:
+            vocab = sorted(set(cells))
+            features.append(Feature(name, CATEGORICAL, tuple(vocab)))
+            columns.append([vocab.index(cell) for cell in cells])
+    target_vocab = tuple(sorted(set(targets)))
+    schema = FeatureSchema(tuple(features), target_name=header[-1], target_vocab=target_vocab)
+    X = np.array(columns, dtype=np.float64).T
+    y = np.array([target_vocab.index(t) for t in targets], dtype=np.int64)
+    return schema, X, y
 
 
 class TestOneStringPerValue:
@@ -220,15 +263,12 @@ class TestOneStringPerValue:
     def test_encodings_match_a_plain_parse(self, tmp_path, n):
         path = tmp_path / "t.csv"
         write_csv(path, n=n, seed=n)
-        ds, plain = load_csv(str(path)), plain_table(path)
-        assert (ds.header, list(ds.rows), list(ds.targets)) == \
-            (plain.header, plain.rows, plain.targets)
-        got, want = label_encode(ds), label_encode(plain)
-        assert got.schema == want.schema
-        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
-        got = encode_with_schema(ds.rows, ds.targets, want.schema)
-        want = encode_with_schema(plain.rows, plain.targets, want.schema)
-        assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()
+        ds, plain = load_csv(str(path)), plain_parse(path)
+        assert (ds.header, list(ds.rows), list(ds.targets)) == plain
+        got = label_encode(ds)
+        schema, X, y = reference_encoding(*plain)
+        assert got.schema == schema
+        assert got.X.tobytes() == X.tobytes() and got.y.tobytes() == y.tobytes()
 
     def test_retained_memory_is_pointers_not_strings(self, tmp_path):
         """10,000 rows x 17 cells: ~0.7 MB retained (one int32 code per cell
@@ -248,30 +288,30 @@ class TestOneStringPerValue:
 
 
 class TestBuildSchema:
-    def test_numeric_iff_all_cells_parse(self):
-        schema = build_schema(["Age", "Code", "Recurred"],
-                              [["34", "x1"], ["51", "7"]], ["No", "Yes"])
+    """Schema inference, as label_encode runs it on a loaded table."""
+
+    def test_numeric_iff_all_cells_parse(self, tmp_path):
+        schema = schema_of(tmp_path, "Age,Code,Recurred\n34,x1,No\n51,7,Yes\n")
         assert schema.features[0].kind == NUMERIC
         assert schema.features[1].kind == CATEGORICAL
 
-    def test_vocab_sorted(self):
-        schema = build_schema(["Gender", "Recurred"],
-                              [["M"], ["F"], ["M"]], ["No", "Yes", "No"])
+    def test_vocab_sorted(self, tmp_path):
+        schema = schema_of(tmp_path, "Gender,Recurred\nM,No\nF,Yes\nM,No\n")
         assert schema.features[0].vocab == ("F", "M")
 
-    def test_target_vocab_and_positive_class(self):
-        schema = build_schema(["Age", "Recurred"], [["1"], ["2"]], ["Yes", "No"])
+    def test_target_vocab_and_positive_class(self, tmp_path):
+        schema = schema_of(tmp_path, "Age,Recurred\n1,Yes\n2,No\n")
         assert schema.target_vocab == ("No", "Yes")
         assert schema.target_vocab[1] == "Yes"
 
-    def test_target_not_binary(self):
+    def test_target_not_binary(self, tmp_path):
         with pytest.raises(DataError, match="target has 3 distinct values, expected 2"):
-            build_schema(["Age", "R"], [["1"], ["2"], ["3"]], ["a", "b", "c"])
+            schema_of(tmp_path, "Age,R\n1,a\n2,b\n3,c\n")
         with pytest.raises(DataError, match="target has 1 distinct values, expected 2"):
-            build_schema(["Age", "R"], [["1"], ["2"]], ["a", "a"])
+            schema_of(tmp_path, "Age,R\n1,a\n2,a\n")
 
-    def test_nan_and_inf_cells_are_categorical(self):
-        schema = build_schema(["V", "R"], [["nan"], ["inf"]], ["a", "b"])
+    def test_nan_and_inf_cells_are_categorical(self, tmp_path):
+        schema = schema_of(tmp_path, "V,R\nnan,a\ninf,b\n")
         assert schema.features[0].kind == CATEGORICAL
 
 
@@ -281,38 +321,41 @@ class TestLabelEncode:
         assert enc.X[:, 1].tolist() == [0.0, 1.0, 0.0]      # F=0, M=1
         assert enc.y.tolist() == [0, 1, 0]
 
-    def test_three_level_vocab(self):
-        schema = build_schema(["Risk", "R"], [["High"], ["Intermediate"], ["Low"]],
-                              ["a", "a", "b"])
-        enc = encode_with_schema([["Low"], ["High"]], ["a", "b"], schema)
+    def test_three_level_vocab(self, tmp_path):
+        schema = schema_of(tmp_path, "Risk,R\nHigh,a\nIntermediate,a\nLow,b\n")
+        enc = encode(tmp_path, "Risk,R\nLow,a\nHigh,b\n", schema)
         assert enc.X[:, 0].tolist() == [2.0, 0.0]
 
     def test_round_trip_every_cell(self, recurrence_source):
         ds = load_csv(str(recurrence_source.path))
         enc = label_encode(ds)
-        schema = build_schema(ds.header, ds.rows, ds.targets)
+        schema = enc.schema
         for j, feat in enumerate(schema.features):
             if feat.kind != CATEGORICAL:
                 continue
             for i in range(len(ds)):
                 assert decode_category(schema, j, enc.X[i, j]) == ds.rows[i][j]
 
-    def test_unseen_category_rejected(self):
-        schema = build_schema(["G", "R"], [["F"], ["M"]], ["a", "b"])
+    def test_unseen_category_rejected(self, tmp_path):
+        schema = schema_of(tmp_path, "G,R\nF,a\nM,b\n")
         with pytest.raises(DataError, match="column 'G': value 'X' not in vocab"):
-            encode_with_schema([["X"]], ["a"], schema)
+            encode(tmp_path, "G,R\nX,a\n", schema)
 
-    def test_short_row_rejected(self):
-        schema = build_schema(["Age", "G", "R"], [["1", "F"], ["2", "M"]], ["a", "b"])
+    def test_short_row_rejected(self, tmp_path):
+        """A table with fewer feature columns than the schema; feature rows
+        and targets of different lengths."""
+        schema = schema_of(tmp_path, "Age,G,R\n1,F,a\n2,M,b\n")
         with pytest.raises(DataError, match="a row has fewer than the schema's 2 feature cells"):
-            encode_with_schema([["1", "F"], ["2"]], ["a", "b"], schema)
+            encode(tmp_path, "Age,R\n1,a\n2,b\n", schema)
+        one = load_csv(write(tmp_path, "Age,G,R\n1,F,a\n", "one.csv"))
+        two = load_csv(write(tmp_path, "Age,G,R\n1,F,a\n2,M,b\n", "two.csv"))
         with pytest.raises(DataError, match="1 rows but 2 targets"):
-            encode_with_schema([["1", "F"]], ["a", "b"], schema)
+            encode_with_schema(one.rows, two.targets, schema)
 
-    def test_unknown_target_rejected(self):
-        schema = build_schema(["G", "R"], [["F"], ["M"]], ["a", "b"])
+    def test_unknown_target_rejected(self, tmp_path):
+        schema = schema_of(tmp_path, "G,R\nF,a\nM,b\n")
         with pytest.raises(DataError, match="target: value 'c' not in vocab"):
-            encode_with_schema([["F"]], ["c"], schema)
+            encode(tmp_path, "G,R\nF,c\n", schema)
 
     @pytest.mark.parametrize("cell", [" 1.5 ", "1_000", "\u0661\u0662", "-0", "1e400",
                                       "nan", "0x10", ""])

@@ -1,12 +1,14 @@
 """The benchmark and script tools still run against the package.
 
 `bench/traced_cli.py` wraps thyrec functions by module and name and reads
-some of their arguments by position; `scripts/request_faults.py` loads a
-model and its table through `persist.load_for_data`. Both run here
-unmodified in subprocesses on a small synthetic table, so a rename or a
-moved argument fails this suite instead of the next traced benchmark run.
-Neither may use a private thyrec name, so a refactor inside `src/` is free
-to rename its helpers.
+some of their arguments by position; `bench/run.py`'s `Server`, which holds
+the explain-serve model, calls `data.load_csv`, `data.encode_with_schema`,
+`data.split` and `data.split_digest` itself; `scripts/request_faults.py`
+loads a model and its table through `persist.load_for_data`. All three run
+here unmodified in subprocesses on a small synthetic table, so a rename or
+a moved argument fails this suite instead of the next benchmark run. None
+may use a private thyrec name, so a refactor inside `src/` is free to
+rename its helpers.
 """
 
 import ast
@@ -24,9 +26,10 @@ from thyrec.cli import main as cli_main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_tool(script: Path, *args) -> subprocess.CompletedProcess:
+def run_tool(*args) -> subprocess.CompletedProcess:
+    """Python in a subprocess with args (a script and its arguments, or -c)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(script), *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -63,6 +66,10 @@ def train_spans(workdir) -> list[dict]:
 
 
 class TestTracedCli:
+    def test_train_loads_and_encodes_once(self, train_spans):
+        assert len(attrs_of(train_spans, "data.load_csv")) == 1
+        assert len(attrs_of(train_spans, "data.encode")) == 1
+
     def test_train_traces_backward_and_adam(self, train_spans):
         backward = attrs_of(train_spans, "neural.backward")
         assert backward and all({"rows", "clamped"} <= a.keys() for a in backward)
@@ -102,6 +109,27 @@ def test_request_faults_serves_a_stratified_model(workdir, stratified_model):
                     "--data", workdir / "table.csv", "--warmup", "0", "--rounds", "1",
                     "--mixes", "1")
     assert done.returncode == 0, done.stderr
+
+
+SERVE = """
+import json, runpy, sys
+from pathlib import Path
+run = runpy.run_path(sys.argv[1], run_name="bench_run")
+server = run["Server"](Path(sys.argv[2]), Path(sys.argv[3]))
+print(json.dumps({"explain": server.explain(3, seed=1), "screen": server.screen(seed=1)}))
+"""
+
+
+def test_bench_server_explains_and_screens(workdir, train_spans):
+    """bench/run.py's Server on the 120-row model trained without --stratify."""
+    done = run_tool("-c", SERVE, ROOT / "bench" / "run.py", workdir / "run" / "model.json",
+                    workdir / "table.csv")
+    assert done.returncode == 0, done.stderr
+    served = json.loads(done.stdout)
+    assert sum(served["explain"]["class_probabilities"]) == pytest.approx(1.0, abs=1e-9)
+    assert served["explain"]["feature_weights"]
+    assert sorted(served["screen"]["ranking"]) == \
+        sorted(f["name"] for f in served["screen"]["features"])
 
 
 def _dotted(node: ast.expr) -> str | None:
