@@ -18,6 +18,12 @@ Fault counts depend on the C library's allocator (glibc's dynamic mmap and
 trim thresholds) and on the BLAS build and its thread count
 (OPENBLAS_NUM_THREADS), so compare two commits only on one machine with the
 same environment. Linux and other Unix systems only (the resource module).
+
+Its latencies are no proxy for bench/run.py's explain-serve workload: with
+LIME's and Morris's per-thread buffers replaced by fresh arrays on every
+request, explain-serve's explain p50 rose from 4.5 to 5.4 ms, while this
+script read 8.23/8.26 ms against 8.23/8.08 ms and about 0 faults per mix on
+both. Take latency claims from bench/run.py; use this script for faults.
 """
 
 from __future__ import annotations

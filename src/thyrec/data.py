@@ -55,11 +55,11 @@ class FeatureSchema:
     target_vocab: tuple[str, str]  # (negative, positive), sorted
 
     def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
         if not isinstance(self.target_name, str):
             raise ValueError("target name must be a string")
+        names = [f.name for f in self.features] + [self.target_name]
+        if len(set(names)) != len(names):
+            raise ValueError("feature and target names must be unique")
         if len(self.target_vocab) != 2 \
                 or not all(isinstance(c, str) for c in self.target_vocab) \
                 or not self.target_vocab[0] < self.target_vocab[1]:
@@ -70,7 +70,7 @@ class FeatureSchema:
         return [f.name for f in self.features]
 
 
-class Column(Sequence):
+class Column:
     """One column's cells, dictionary-coded: each distinct cell once in
     `values`, and for each row its index there in `codes` ((n,) int32)."""
     __slots__ = ("values", "codes")
@@ -81,37 +81,23 @@ class Column(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i: int) -> str:
-        return self.values[self.codes[i]]
 
-    def __iter__(self):
-        return map(self.values.__getitem__, self.codes.tolist())
+class CodedRows:
+    """A table's feature cells, stored by column: at least one Column, all
+    of one length."""
+    __slots__ = ("columns",)
 
-
-class CodedRows(Sequence):
-    """n rows of cells stored as Columns; indexing or iterating builds the
-    rows as lists."""
-    __slots__ = ("columns", "n")
-
-    def __init__(self, columns: tuple[Column, ...], n: int):
-        self.columns, self.n = columns, n
+    def __init__(self, columns: tuple[Column, ...]):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> list[str]:
-        return [column[i] for column in self.columns]
-
-    def __iter__(self):
-        if not self.columns:
-            return ([] for _ in range(self.n))
-        return map(list, zip(*self.columns))
+        return len(self.columns[0])
 
 
 @dataclass
 class Dataset:
     header: list[str]
-    rows: CodedRows      # feature cells row by row, without the target
+    rows: CodedRows      # feature cells by column, without the target
     targets: Column      # target cells
 
     def __len__(self) -> int:
@@ -197,14 +183,9 @@ def _infer_schema(header: list[str], columns: Sequence[Column], target: Column) 
     """A column is numeric iff every distinct cell parses as a finite number,
     otherwise categorical with a sorted deduplicated vocab. The positive
     target class is the lexicographically later of the two target strings."""
-    if not len(target):
-        raise DataError("no data rows")
-    names = header[:-1]
-    if len(set(names)) != len(names) or any(not n for n in names):
-        raise DataError("column names must be unique and non-empty")
     features = [Feature(name, NUMERIC) if _numbers(column.values) is not None
                 else Feature(name, CATEGORICAL, tuple(sorted(column.values)))
-                for name, column in zip(names, columns)]
+                for name, column in zip(header[:-1], columns)]
     distinct = sorted(target.values)
     if len(distinct) != 2:
         raise DataError(f"target has {len(distinct)} distinct values, expected 2: {distinct[:5]}")
@@ -218,7 +199,9 @@ def load_csv(path: str) -> Dataset:
     The file is RFC 4180 text in UTF-8, with or without a byte-order mark,
     and with LF or CRLF line ends. The first non-blank record is the header;
     it names the columns, and nothing is inferred (`label_encode` infers a
-    schema from the cells). Blank lines are skipped.
+    schema from the cells). It needs two or more names, so a feature column
+    comes before the target, each non-empty and none twice, or DataError
+    names the path. Blank lines are skipped.
     A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
@@ -235,10 +218,12 @@ def load_csv(path: str) -> Dataset:
             header = next(filter(None, csv.reader(fh)), None)
             if header is None:
                 raise DataError(f"{path}: empty file")
+            if len(header) < 2 or "" in header or len(set(header)) < len(header):
+                raise DataError(f"{path}: header {header} needs a feature column before the "
+                                f"target, and names that are non-empty and unique")
             k = len(header)
             columns = _factorise(_split_blocks(fh, k), k)
-            n = len(columns[-1])
-            if not n:
+            if not len(columns[-1]):
                 raise DataError(f"{path}: header only, no data rows")
             empty = [(int(np.argmax(column.codes == column.values.index(""))), j)
                      for j, column in enumerate(columns) if "" in column.values]
@@ -250,8 +235,7 @@ def load_csv(path: str) -> Dataset:
         raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return Dataset(header=header, rows=CodedRows(tuple(columns[:-1]), n),
-                   targets=columns[-1])
+    return Dataset(header=header, rows=CodedRows(tuple(columns[:-1])), targets=columns[-1])
 
 
 def _split_blocks(fh, k: int) -> Iterator[list[str]]:

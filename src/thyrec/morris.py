@@ -90,7 +90,8 @@ class MorrisResult:
 def _buffers(r: int, n: int, d: int) -> list[np.ndarray]:
     """This thread's Morris buffers for r trajectories of n points in d
     features: the (r, n, d) trajectories, their (r * n, d) model-space
-    points and the (r, n - 1, d) step differences."""
+    points and the (r, n - 1, d) step differences. Reused, because fresh
+    arrays per call raised explain-serve's screen p50 from 1.7 to 2.0 ms."""
     return thread_buffers("morris", [(r, n, d), (r * n, d), (r, n - 1, d)])
 
 

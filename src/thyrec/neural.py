@@ -171,8 +171,8 @@ class ForwardPass:
 def init_mlp(d_in: int, hidden: list[int], seed: int, dropout: float = 0.5) -> MLP:
     """Glorot-uniform weights, zero biases, ReLU hidden layers and a single
     sigmoid output unit; the dropout rate is attached to every hidden layer."""
-    if d_in < 1 or not hidden:
-        raise ValueError("need d_in >= 1 and a non-empty hidden layout")
+    if d_in < 1 or not hidden or min(hidden) < 1:
+        raise ValueError("need d_in >= 1 and a non-empty hidden layout of widths >= 1")
     rng = np.random.default_rng(seed)
     dims = [d_in] + list(hidden) + [1]
     layers = []

@@ -44,6 +44,8 @@ class SplitInfo:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("split ratio must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("split seed must be >= 0")
 
     @classmethod
     def draw(cls, y: np.ndarray, ratio: float, seed: int,
@@ -203,6 +205,8 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         d_in, d_out = _get(ld, "d_in", "layer", int), _get(ld, "d_out", "layer", int)
         weights = _array(ld, "weights", f"layer {i}")
         bias = _array(ld, "bias", f"layer {i}")
+        if d_in < 1 or d_out < 1:
+            raise ArtifactError(f"layer {i}: d_in and d_out must be >= 1")
         if weights.shape != (d_in * d_out,) or bias.shape != (d_out,):
             raise ArtifactError(f"layer {i}: declared shape does not match array length")
         if prev_out is not None and d_in != prev_out:
@@ -218,6 +222,8 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         raise ArtifactError("artifact has no layers")
     if layers[0].W.shape[0] != d:
         raise ArtifactError("first layer width does not match the schema")
+    if layers[-1].W.shape[1] != 1:
+        raise ArtifactError("last layer must have exactly one output unit")
 
     final = {}
     for name, ed in _get(raw, "final_metrics", "artifact", dict).items():

@@ -12,7 +12,7 @@ import pytest
 
 import thyrec
 from synth import generate_rows, write_csv
-from test_persist import NEGATIVE_COUNT, mutate
+from test_persist import NEGATIVE_COUNT, empty_first_hidden, mutate, no_outputs, two_outputs
 from thyrec import data
 from thyrec.cli import build_parser, main
 from thyrec.lime import LimeConfig
@@ -166,10 +166,16 @@ class TestEvaluate:
         (("final_metrics", "test", "confusion", "tp"), 1000),
         (("final_metrics", "test", "metrics", "accuracy"), 0.99),
         (("final_metrics", "test"), NEGATIVE_COUNT),
+        (("layers", -1), two_outputs),
+        (("layers", -1), no_outputs),
+        (("layers",), empty_first_hidden),
+        (("split", "seed"), -1),
+        (("schema", "target_name"), "Age"),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
             "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
-            "negative-count"])
+            "negative-count", "two-outputs", "no-outputs", "hidden-width-0",
+            "split-seed-negative", "target-name-is-feature"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -521,6 +527,14 @@ def _duplicate_name(rows, rng) -> None:
     rows[0][i] = rows[0][j]
 
 
+def _target_only(rows, rng) -> None:
+    rows[:] = [row[-1:] for row in rows]
+
+
+def _target_repeats_feature(rows, rng) -> None:
+    rows[0][-1] = rows[0][int(rng.integers(len(rows[0]) - 1))]
+
+
 def _truncate(raw: bytes, rng) -> bytes:
     start = raw.rstrip(b"\n").rfind(b"\n") + 1
     return raw[:int(rng.integers(start + 1, len(raw)))]
@@ -541,6 +555,8 @@ CSV_MUTATIONS = {
                     3, 3),
     "one-class": (_cells(_one_class), 3, 0),
     "duplicate-name": (_cells(_duplicate_name), 3, 3),
+    "target-only": (_cells(_target_only), 3, 3),
+    "target-repeats-feature": (_cells(_target_repeats_feature), 3, 3),
     "not-utf8": (lambda raw, rng: _insert(raw, rng, b"\xff"), 3, 3),
     "nul-byte": (lambda raw, rng: _insert(raw, rng, b"\x00"), None, None),
     "stray-quote": (lambda raw, rng: _insert(raw, rng, b'"'), None, None),

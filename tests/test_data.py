@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,16 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def cells(column) -> list[str]:
+    """A coded column's cells in row order."""
+    return [column.values[code] for code in column.codes]
+
+
+def row_lists(ds) -> list[list[str]]:
+    """A loaded table's feature cells as one list per row."""
+    return [list(row) for row in zip(*map(cells, ds.rows.columns))]
 
 
 def schema_of(tmp_path, text):
@@ -78,7 +89,18 @@ class TestLoadCsv:
 
     def test_quoted_cells(self, tmp_path):
         ds = load_csv(write(tmp_path, 'Age,Note,Recurred\n34,"a, b",No\n51,c,Yes\n'))
-        assert ds.rows[0][1] == "a, b"
+        assert row_lists(ds)[0][1] == "a, b"
+
+    @pytest.mark.parametrize("header", ["Recurred", "Age,,Recurred", "Age,Gender,Age,Recurred",
+                                        "Age,Gender,Age"],
+                             ids=["one-column", "empty-name", "duplicate-feature",
+                                  "target-repeats-feature"])
+    def test_header_rules(self, tmp_path, header):
+        """A feature column before the target, and every name non-empty and
+        unique, the target's included; the message starts with the path."""
+        path = write(tmp_path, header + "\n" + ",".join("1" * len(header.split(","))) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: header "):
+            load_csv(path)
 
 
 HEADER = "Age,Gender,Recurred"
@@ -145,7 +167,7 @@ def load_outcome(path, schema):
             encode_with_schema(ds.rows, ds.targets, schema)
     except DataError as exc:
         return type(exc), str(exc).replace(str(path), "<path>")
-    return (ds.header, list(ds.rows), list(ds.targets), enc.schema, enc.X.tobytes(),
+    return (ds.header, row_lists(ds), cells(ds.targets), enc.schema, enc.X.tobytes(),
             enc.y.tobytes())
 
 
@@ -256,15 +278,15 @@ class TestOneStringPerValue:
         path = tmp_path / "t.csv"
         write_csv(path, n=383, seed=2)
         ds = load_csv(str(path))
-        cells = [c for row in ds.rows for c in row] + list(ds.targets)
-        assert len({id(c) for c in cells}) == len(set(cells)) < 200
+        every = [c for row in row_lists(ds) for c in row] + cells(ds.targets)
+        assert len({id(c) for c in every}) == len(set(every)) < 200
 
     @pytest.mark.parametrize("n", [383, 5000, 2 * BLOCK_ROWS + 700])
     def test_encodings_match_a_plain_parse(self, tmp_path, n):
         path = tmp_path / "t.csv"
         write_csv(path, n=n, seed=n)
         ds, plain = load_csv(str(path)), plain_parse(path)
-        assert (ds.header, list(ds.rows), list(ds.targets)) == plain
+        assert (ds.header, row_lists(ds), cells(ds.targets)) == plain
         got = label_encode(ds)
         schema, X, y = reference_encoding(*plain)
         assert got.schema == schema
@@ -329,12 +351,12 @@ class TestLabelEncode:
     def test_round_trip_every_cell(self, recurrence_source):
         ds = load_csv(str(recurrence_source.path))
         enc = label_encode(ds)
-        schema = enc.schema
+        schema, rows = enc.schema, row_lists(ds)
         for j, feat in enumerate(schema.features):
             if feat.kind != CATEGORICAL:
                 continue
             for i in range(len(ds)):
-                assert decode_category(schema, j, enc.X[i, j]) == ds.rows[i][j]
+                assert decode_category(schema, j, enc.X[i, j]) == rows[i][j]
 
     def test_unseen_category_rejected(self, tmp_path):
         schema = schema_of(tmp_path, "G,R\nF,a\nM,b\n")

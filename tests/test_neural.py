@@ -61,6 +61,11 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp(4, [3], seed=0, dropout=rate)
 
+    @pytest.mark.parametrize("d_in, hidden", [(0, [3]), (4, []), (4, [5, 0]), (4, [-1])])
+    def test_empty_layout_rejected(self, d_in, hidden):
+        with pytest.raises(ValueError, match="need d_in >= 1 and a non-empty hidden layout"):
+            init_mlp(d_in, hidden, seed=0)
+
 
 class TestForward:
     def test_zero_weights_give_half(self):

@@ -46,12 +46,29 @@ NEGATIVE_COUNT = {"confusion": {"tp": -1, "fp": 0, "tn": 5, "fn": 0},
                               "ppv": None, "npv": 1.0}}
 
 
+def two_outputs(layer: dict) -> dict:
+    """The output layer with its one unit doubled: each weight and the bias twice."""
+    return {**layer, "d_out": 2, "weights": [v for w in layer["weights"] for v in (w, w)],
+            "bias": layer["bias"] * 2}
+
+
+def no_outputs(layer: dict) -> dict:
+    return {**layer, "d_out": 0, "weights": [], "bias": []}
+
+
+def empty_first_hidden(layers: list) -> list:
+    """The layers with a first hidden layer of width 0, still chained."""
+    first, second, *rest = layers
+    return [no_outputs(first), {**second, "d_in": 0, "weights": []}, *rest]
+
+
 def mutate(raw: dict, keys: tuple, value) -> None:
-    """Set raw[keys[0]][keys[1]]... to value."""
+    """Set raw[keys[0]][keys[1]]... to value, or to value(old) when value
+    is a function."""
     *head, last = keys
     for key in head:
         raw = raw[key]
-    raw[last] = value
+    raw[last] = value(raw[last]) if callable(value) else value
 
 
 class TestRoundTrip:
@@ -202,6 +219,11 @@ class TestErrors:
          "final_metrics 'test': stored metrics do not match their confusion counts"),
         # counts that no prediction yields, with the metrics computed from them
         (("final_metrics", "test"), NEGATIVE_COUNT, "confusion counts must be >= 0"),
+        (("layers", -1), two_outputs, "last layer must have exactly one output unit"),
+        (("layers", -1), no_outputs, "layer 2: d_in and d_out must be >= 1"),
+        (("layers",), empty_first_hidden, "layer 0: d_in and d_out must be >= 1"),
+        (("split", "seed"), -1, "split seed must be >= 0"),
+        (("schema", "target_name"), "Age", "feature and target names must be unique"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -211,7 +233,9 @@ class TestErrors:
             "numeric-vocab", "stratified-string", "target-name-int",
             "target-vocab-reversed", "vocab-reversed", "vocab-repeated", "val-source-foo",
             "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
-            "counts-contradict-metrics", "metrics-contradict-counts", "negative-count"])
+            "counts-contradict-metrics", "metrics-contradict-counts", "negative-count",
+            "two-outputs", "no-outputs", "hidden-width-0", "split-seed-negative",
+            "target-name-is-feature"])
     def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
