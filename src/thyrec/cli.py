@@ -17,19 +17,14 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from .data import DataError, apply_scaler, fit_scaler, label_encode, load_csv
+from .data import DataError
 from .lime import LimeConfig, explain
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
-from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, init_mlp,
-                     predict_label, predict_proba, train)
-from .persist import (ArtifactError, ModelArtifact, SplitInfo, eval_to_dict, load_for_data,
-                      save_model)
+from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, predict_label,
+                     predict_proba)
+from .persist import ArtifactError, eval_to_dict, fit, load_for_data, save_model
 
-HIDDEN_LAYOUT = [128, 64, 32]
-TRAIN_RATIO = 0.8
 HISTORY_HEADER = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
 REPORT_DECIMALS = 4
 
@@ -75,51 +70,22 @@ def _report_dict(results: dict[str, ConfusionMatrix]) -> dict:
     return {name: eval_to_dict(cm, REPORT_DECIMALS) for name, cm in results.items()}
 
 
-def _evaluate(mlp, X: np.ndarray, y: np.ndarray) -> ConfusionMatrix:
-    return confusion(y, predict_label(mlp, X))
-
-
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    encoded = label_encode(load_csv(args.data))   # the coded table is not kept
-    split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, args.seed, args.stratify)
-    scaler = fit_scaler(encoded.X[idx.train])
-    encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
-    X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
-    y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
-
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                          batch_size=args.batch_size, dropout=args.dropout,
                          validation_source=args.val_source, seed=args.seed)
-    mlp = init_mlp(X_train.shape[1], HIDDEN_LAYOUT, seed=args.seed,
-                   dropout=args.dropout)
+    artifact, history = fit(args.data, config, args.stratify)
 
-    X_val = y_val = None
-    if config.validation_source == VAL_FROM_TEST_AS_PAPER:
-        # mirror mode: monitoring set carved from the tail of a shuffled test set
-        rng = np.random.default_rng(args.seed)
-        perm = rng.permutation(len(y_test))
-        n_val = max(1, int(np.floor(config.validation_fraction * len(y_test) + 0.5)))
-        sel = perm[len(y_test) - n_val:]
-        X_val, y_val = X_test[sel], y_test[sel]
-
-    mlp, history = train(mlp, X_train, y_train, config, X_val, y_val)
-
-    results = {"train": _evaluate(mlp, X_train, y_train),
-               "test": _evaluate(mlp, X_test, y_test)}
-    artifact = ModelArtifact(
-        schema=encoded.schema, scaler=scaler, mlp=mlp, train_config=config,
-        final_metrics=results, split=split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(artifact, str(out / "model.json"))
-
     _write_csv(out / "history.csv", HISTORY_HEADER,
                zip(range(1, len(history) + 1), history.train_loss,
                    history.train_accuracy, history.val_loss, history.val_accuracy))
-    _write_json(out / "train_report.json", _report_dict(results))
+    _write_json(out / "train_report.json", _report_dict(artifact.final_metrics))
 
-    _print_metrics_table(results)
+    _print_metrics_table(artifact.final_metrics)
     print(f"model written to {out / 'model.json'} "
           f"({time.perf_counter() - started:.2f}s)")
     return 0
@@ -131,7 +97,7 @@ def cmd_evaluate(args) -> int:
         idx = artifact.recover_split(y)
         rows = idx.train if args.partition == "train" else idx.test
         X, y = X[rows], y[rows]
-    result = _evaluate(artifact.mlp, X, y)
+    result = confusion(y, predict_label(artifact.mlp, X))
     _print_metrics_table({args.partition: result})
     if args.out is not None:
         _write_json(Path(args.out) / "eval_report.json",

@@ -40,12 +40,16 @@ class LimeConfig:
     def __post_init__(self):
         if self.num_samples < 10:
             raise ValueError("num_samples must be >= 10")
-        if self.kernel_width is not None and not 0.0 < self.kernel_width < math.inf:
-            raise ValueError("kernel_width must be a finite number > 0")
+        width = self.kernel_width   # exp(-d^2 / width^2) needs 0 < width^2 < inf
+        if width is not None and not (0.0 < width and 0.0 < width * width < math.inf):
+            raise ValueError(f"kernel_width must be > 0 and square to a finite number "
+                             f"> 0, not {width!r}")
         if self.num_features < 1:
             raise ValueError("num_features must be >= 1")
         if not 0.0 <= self.ridge_lambda < math.inf:
             raise ValueError("ridge_lambda must be a finite number >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):

@@ -36,6 +36,8 @@ class MorrisConfig:
             raise ValueError("levels must be even and >= 2")
         if self.trajectories < 2:
             raise ValueError("need at least 2 trajectories")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def effective_delta(self) -> float:

@@ -135,6 +135,8 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.validation_source not in (VAL_FROM_TRAIN, VAL_FROM_TEST_AS_PAPER):
             raise ValueError(f"unknown validation_source {self.validation_source!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Model artifact persistence.
+"""Model artifact persistence, and `fit`, which trains the artifact that
+`thyrec train` writes.
 
 One self-describing JSON file holds the schema, scaler, layer shapes and
 row-major weights, training configuration, final metrics and the split
@@ -19,11 +20,15 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, apply_scaler,
-                   encode_with_schema, load_csv, split, split_digest, stratified_split)
-from .metrics import ConfusionMatrix, MetricsReport, compute_metrics
-from .neural import MLP, Layer, TrainConfig
+                   encode_with_schema, fit_scaler, label_encode, load_csv, split,
+                   split_digest, stratified_split)
+from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
+from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
+                     init_mlp, predict_label, train)
 
 FORMAT_VERSION = 1
+TRAIN_RATIO = 0.8                 # share of the rows in the training partition
+HIDDEN_LAYOUT = [128, 64, 32]     # hidden-layer widths of a trained model
 # Each layer's activation as written; a layer's position fixes it.
 RELU = "relu"
 SIGMOID = "sigmoid"
@@ -272,3 +277,37 @@ def load_for_data(model_path: str, csv_path: str) -> tuple[ModelArtifact, np.nda
         raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
     encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
     return artifact, apply_scaler(artifact.scaler, encoded.X), encoded.y
+
+
+def fit(csv_path: str, config: TrainConfig,
+        stratify: bool = False) -> tuple[ModelArtifact, TrainHistory]:
+    """The model `thyrec train` writes, trained on the CSV at csv_path, and
+    its per-epoch history. In order: label-encode the table, inferring its
+    schema; draw the seeded TRAIN_RATIO split (by class if stratify); fit
+    the scaler on the training rows and scale every row; initialise a
+    HIDDEN_LAYOUT network; carve the monitoring rows from the test
+    partition when config.validation_source is test-as-paper; train; count
+    the train and test confusions. It takes a path rather than a loaded
+    table so that neither the loaded table nor its unscaled matrix is alive
+    while the network trains."""
+    encoded = label_encode(load_csv(csv_path))   # the coded table is not kept
+    split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
+    scaler = fit_scaler(encoded.X[idx.train])
+    encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
+    X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
+    y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
+    mlp = init_mlp(X_train.shape[1], HIDDEN_LAYOUT, seed=config.seed, dropout=config.dropout)
+
+    X_val = y_val = None
+    if config.validation_source == VAL_FROM_TEST_AS_PAPER:
+        # mirror mode: monitoring set carved from the tail of a shuffled test set
+        perm = np.random.default_rng(config.seed).permutation(len(y_test))
+        n_val = max(1, int(np.floor(config.validation_fraction * len(y_test) + 0.5)))
+        sel = perm[len(y_test) - n_val:]
+        X_val, y_val = X_test[sel], y_test[sel]
+
+    mlp, history = train(mlp, X_train, y_train, config, X_val, y_val)
+    results = {"train": confusion(y_train, predict_label(mlp, X_train)),
+               "test": confusion(y_test, predict_label(mlp, X_test))}
+    return ModelArtifact(schema=encoded.schema, scaler=scaler, mlp=mlp, train_config=config,
+                         final_metrics=results, split=split), history

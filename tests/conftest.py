@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from synth import write_csv
-from thyrec.data import apply_scaler, fit_scaler, label_encode, load_csv, split
-from thyrec.metrics import compute_metrics, confusion
-from thyrec.neural import TrainConfig, init_mlp, predict_label, train
+from thyrec.data import apply_scaler, label_encode, load_csv
+from thyrec.metrics import compute_metrics
+from thyrec.neural import TrainConfig
+from thyrec.persist import fit
 
 
 @dataclass
@@ -43,12 +44,8 @@ def recurrence_source(tmp_path_factory) -> RecurrenceSource:
 class TrainedRun:
     seed: int
     mlp: object
-    scaler: object
     schema: object
     X_train: np.ndarray
-    y_train: np.ndarray
-    X_test: np.ndarray
-    y_test: np.ndarray
     test_metrics: object
 
 
@@ -61,24 +58,18 @@ class TrainedSweep:
 
 @pytest.fixture(scope="session")
 def trained_sweep(recurrence_source) -> TrainedSweep:
-    """Default-config training runs over seeds 1..5, shared by the
-    end-to-end acceptance criteria."""
-    dataset = load_csv(str(recurrence_source.path))
-    encoded = label_encode(dataset)
+    """Default-config models over seeds 1..5, each trained by `fit` as
+    `thyrec train --seed s` trains it, shared by the end-to-end acceptance
+    criteria."""
+    path = str(recurrence_source.path)
+    encoded = label_encode(load_csv(path))
     runs = []
     started = time.perf_counter()
     for seed in range(1, 6):
-        idx = split(len(encoded.y), 0.8, seed)
-        scaler = fit_scaler(encoded.X[idx.train])
-        X_train = apply_scaler(scaler, encoded.X[idx.train])
-        X_test = apply_scaler(scaler, encoded.X[idx.test])
-        y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
-        mlp = init_mlp(X_train.shape[1], [128, 64, 32], seed=seed, dropout=0.5)
-        mlp, _ = train(mlp, X_train, y_train, TrainConfig(seed=seed))
-        cm = confusion(y_test, predict_label(mlp, X_test))
-        runs.append(TrainedRun(seed=seed, mlp=mlp, scaler=scaler,
-                               schema=encoded.schema, X_train=X_train,
-                               y_train=y_train, X_test=X_test, y_test=y_test,
-                               test_metrics=compute_metrics(cm)))
+        artifact, _ = fit(path, TrainConfig(seed=seed))
+        rows = artifact.recover_split(encoded.y).train
+        runs.append(TrainedRun(seed=seed, mlp=artifact.mlp, schema=artifact.schema,
+                               X_train=apply_scaler(artifact.scaler, encoded.X[rows]),
+                               test_metrics=compute_metrics(artifact.final_metrics["test"])))
     return TrainedSweep(runs=runs, elapsed=time.perf_counter() - started,
                         source=recurrence_source)

@@ -335,10 +335,11 @@ class TestExplain:
                      "--index", "0", "--num-samples", "50", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("width", ["nan", "inf"])
+    @pytest.mark.parametrize("width", ["nan", "inf", "1e-300"])
     def test_nan_kernel_width_exits_2(self, small_csv, tmp_path, capsys, width):
         """An infinite width would weight every sample 1.0: a global fit
-        reported as a local explanation."""
+        reported as a local explanation. A width whose square is 0 would
+        weight the row itself exp(-0/0) = NaN."""
         model = run_train(small_csv, tmp_path / "run")
         capsys.readouterr()
         assert main(["explain", "--model", str(model), "--data", small_csv,
@@ -484,6 +485,21 @@ def test_size_flag_too_large_to_allocate_exits_2(small_csv, tmp_path, capsys, ar
     assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("argv", [["train"], ["explain", "--index", "0"], ["sensitivity"]],
+                         ids=["train", "explain", "sensitivity"])
+def test_negative_seed_exits_2_naming_it(small_csv, tmp_path, capsys, argv):
+    """numpy's own refusal of a negative seed names neither the flag nor
+    the value, so each command's config refuses it first."""
+    if argv[0] != "train":
+        argv = [*argv, "--model", str(run_train(small_csv, tmp_path / "run"))]
+        capsys.readouterr()
+    assert main([*argv, "--data", small_csv, "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be >= 0"]
+    assert not (tmp_path / "out").exists()
+
+
 def _read_rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
 
@@ -619,20 +635,42 @@ class TestQuotedNames:
 
 class TestDeterminismScope:
     """The byte-identity promise holds for one machine, numpy build and BLAS
-    core type. Another OpenBLAS core type may move the last bits of the
-    weights in model.json, but the reports must not move and the model's
-    probabilities must agree far below any printed precision."""
+    core type, whatever the BLAS thread count. Another OpenBLAS core type
+    may move the last bits of the weights in model.json, but the reports
+    must not move and the model's probabilities must agree far below any
+    printed precision."""
 
     @staticmethod
-    def train_in_subprocess(csv, out, core_type):
+    def cli_in_subprocess(argv, **env_vars):
         env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
         env.pop("OPENBLAS_CORETYPE", None)
-        if core_type:
-            env["OPENBLAS_CORETYPE"] = core_type
-        subprocess.run([sys.executable, "-m", "thyrec.cli", "train", "--data", csv,
-                        "--seed", "1", "--epochs", "30", "--out", str(out)],
+        env.update(env_vars)
+        subprocess.run([sys.executable, "-m", "thyrec.cli", *argv],
                        env=env, check=True, capture_output=True)
+
+    def train_in_subprocess(self, csv, out, core_type):
+        self.cli_in_subprocess(["train", "--data", csv, "--seed", "1", "--epochs", "30",
+                                "--out", str(out)],
+                               **({"OPENBLAS_CORETYPE": core_type} if core_type else {}))
         return load_model(str(out / "model.json"))
+
+    def test_blas_thread_count_keeps_every_byte(self, recurrence_source, tmp_path):
+        """At 383 rows the monitoring predicts (245 rows) and LIME's
+        1,024-row blocks are large enough for OpenBLAS to split a product
+        across two threads; every emitted byte must stay the same."""
+        csv = str(recurrence_source.path)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            common = ["--data", csv, "--seed", "1", "--out", str(out)]
+            self.cli_in_subprocess(["train", *common, "--epochs", "2"],
+                                   OPENBLAS_NUM_THREADS=threads)
+            self.cli_in_subprocess(["explain", *common, "--model", str(out / "model.json"),
+                                    "--index", "12"], OPENBLAS_NUM_THREADS=threads)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outputs[0]) == ["explanation.json", "explanation_bars.csv",
+                                      "history.csv", "model.json", "train_report.json"]
+        assert outputs[0] == outputs[1]
 
     def test_other_core_type_keeps_reports_and_probabilities(self, recurrence_source,
                                                              tmp_path):

@@ -261,9 +261,14 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs, name", [
         ({"kernel_width": float("nan")}, "kernel_width"),
         ({"kernel_width": float("inf")}, "kernel_width"),
+        # squares to 0, so the row's own weight would be exp(-0/0) = NaN
+        ({"kernel_width": 1e-300}, "kernel_width .* not 1e-300"),
+        # squares to inf, so every sample would weigh 1.0
+        ({"kernel_width": 1e200}, "kernel_width .* not 1e\\+200"),
         ({"ridge_lambda": float("nan")}, "ridge_lambda"),
         ({"ridge_lambda": float("inf")}, "ridge_lambda")],
-        ids=["width-nan", "width-inf", "ridge-nan", "ridge-inf"])
+        ids=["width-nan", "width-inf", "width-square-0", "width-square-inf", "ridge-nan",
+             "ridge-inf"])
     def test_non_finite_rejected_naming_the_setting(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             LimeConfig(**kwargs)

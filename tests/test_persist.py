@@ -11,7 +11,7 @@ from thyrec.data import DataError, Feature, FeatureSchema, Scaler, stratified_sp
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
 from thyrec.cli import main as cli_main
-from thyrec.persist import (ArtifactError, ModelArtifact, SplitInfo, load_for_data,
+from thyrec.persist import (ArtifactError, ModelArtifact, SplitInfo, fit, load_for_data,
                             load_model, save_model)
 
 
@@ -223,6 +223,7 @@ class TestErrors:
         (("layers", -1), no_outputs, "layer 2: d_in and d_out must be >= 1"),
         (("layers",), empty_first_hidden, "layer 0: d_in and d_out must be >= 1"),
         (("split", "seed"), -1, "split seed must be >= 0"),
+        (("train_config", "seed"), -1, "m.json: seed must be >= 0"),
         (("schema", "target_name"), "Age", "feature and target names must be unique"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
@@ -235,7 +236,7 @@ class TestErrors:
             "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
             "counts-contradict-metrics", "metrics-contradict-counts", "negative-count",
             "two-outputs", "no-outputs", "hidden-width-0", "split-seed-negative",
-            "target-name-is-feature"])
+            "seed-negative", "target-name-is-feature"])
     def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
@@ -337,3 +338,20 @@ class TestLoadForData:
                                        str(tmp_path / "other.csv"))
         with pytest.raises(DataError, match="does not reproduce the split"):
             artifact.recover_split(y)
+
+
+@pytest.mark.parametrize("seed, stratify, epochs, val_source", [
+    (1, False, TrainConfig.epochs, TrainConfig.validation_source),
+    (7, False, TrainConfig.epochs, TrainConfig.validation_source),
+    (1, True, 20, "test-as-paper")],
+    ids=["seed1", "seed7", "stratified-test-as-paper"])
+def test_fit_is_the_model_train_writes(recurrence_source, tmp_path, seed, stratify, epochs,
+                                       val_source):
+    """`thyrec train` writes the artifact `fit` returns, byte for byte."""
+    csv = str(recurrence_source.path)
+    assert cli_main(["train", "--data", csv, "--seed", str(seed), "--epochs", str(epochs),
+                     "--val-source", val_source, "--out", str(tmp_path),
+                     *(["--stratify"] if stratify else [])]) == 0
+    config = TrainConfig(seed=seed, epochs=epochs, validation_source=val_source)
+    save_model(fit(csv, config, stratify)[0], str(tmp_path / "fit.json"))
+    assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "model.json").read_bytes()
