@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 invalid flag or unwritable --out, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict
@@ -23,9 +22,8 @@ from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
 from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, predict_label,
                      predict_proba)
-from .persist import ArtifactError, eval_to_dict, fit, load_for_data, save_model
+from .persist import ArtifactError, eval_to_dict, fit, load_for_data, save_model, write_json
 
-HISTORY_HEADER = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
 REPORT_DECIMALS = 4
 
 
@@ -37,18 +35,16 @@ def _cell(value) -> str:
     return str(value) if isinstance(value, int) else repr(float(value))
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_json(path: Path, obj) -> None:
-    _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+def _write(out: Path, files: dict) -> None:
+    """Write each named file into out: a .csv takes (header, rows), any other a JSON object."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            header, rows = content
+            lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+            (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            write_json(out / name, content)
 
 
 def _metric_cell(value: float | None) -> str:
@@ -78,12 +74,9 @@ def cmd_train(args) -> int:
     artifact, history = fit(args.data, config, args.stratify)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write(out, {"history.csv": history.table(),
+                 "train_report.json": _report_dict(artifact.final_metrics)})
     save_model(artifact, str(out / "model.json"))
-    _write_csv(out / "history.csv", HISTORY_HEADER,
-               zip(range(1, len(history) + 1), history.train_loss,
-                   history.train_accuracy, history.val_loss, history.val_accuracy))
-    _write_json(out / "train_report.json", _report_dict(artifact.final_metrics))
 
     _print_metrics_table(artifact.final_metrics)
     print(f"model written to {out / 'model.json'} "
@@ -100,8 +93,7 @@ def cmd_evaluate(args) -> int:
     result = confusion(y, predict_label(artifact.mlp, X))
     _print_metrics_table({args.partition: result})
     if args.out is not None:
-        _write_json(Path(args.out) / "eval_report.json",
-                    _report_dict({args.partition: result}))
+        _write(Path(args.out), {"eval_report.json": _report_dict({args.partition: result})})
     return 0
 
 
@@ -117,9 +109,8 @@ def cmd_explain(args) -> int:
                      config, schema=artifact.schema, scaler=artifact.scaler,
                      instance_index=args.index)
 
-    out = Path(args.out)
-    _write_json(out / "explanation.json", result.as_dict())
-    _write_csv(out / "explanation_bars.csv", ["feature", "weight"], result.feature_weights)
+    bars = (["feature", "weight"], result.feature_weights)
+    _write(Path(args.out), {"explanation.json": result.as_dict(), "explanation_bars.csv": bars})
 
     p0, p1 = result.class_probabilities
     print(f"row {args.index}: P(no recurrence)={p0:.4f} P(recurrence)={p1:.4f} "
@@ -138,18 +129,9 @@ def cmd_sensitivity(args) -> int:
     result = analyze(lambda Z: predict_proba(artifact.mlp, Z), X[idx.train], config,
                      feature_names=artifact.schema.feature_names)
 
-    out = Path(args.out)
-    _write_csv(out / "sensitivity.csv", ["feature", "mu", "mu_star", "sigma"],
-               zip(result.feature_names, result.mu, result.mu_star, result.sigma))
-    _write_csv(out / "sensitivity_scatter.csv", ["feature", "mu_star", "sigma"],
-               zip(result.feature_names, result.mu_star, result.sigma))
-    _write_json(out / "sensitivity.json", {
-        "features": [{"name": name, "mu": result.mu[j], "mu_star": result.mu_star[j],
-                      "sigma": result.sigma[j], "degenerate": bool(result.degenerate[j])}
-                     for j, name in enumerate(result.feature_names)],
-        "model_evals": result.model_evals,
-        "ranking": result.ranking,
-    })
+    _write(Path(args.out), {"sensitivity.csv": result.table(["mu", "mu_star", "sigma"]),
+                            "sensitivity_scatter.csv": result.table(["mu_star", "sigma"]),
+                            "sensitivity.json": result.as_dict()})
 
     print(f"{'feature':<22}{'mu':>12}{'mu_star':>12}{'sigma':>12}")
     for name in result.ranking:

@@ -166,8 +166,9 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
 
 def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray | float:
     """exp(-distance^2 / width^2) over Euclidean distance between
-    interpretable rows."""
-    return np.exp(-np.square(distance) / (width * width))
+    interpretable rows; a quotient that overflows is a weight of 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.square(distance) / (width * width))
 
 
 def _buffers(n: int, d: int) -> list[np.ndarray]:
@@ -261,6 +262,10 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     # squared differences is the count of zeros, d - Z.sum(axis=1), exactly
     distance = np.sqrt(d - Z.sum(axis=1))
     weights = kernel_weight(distance, width)
+    differs = distance > 0
+    if differs.any() and not weights[differs].any():   # a weighted fit of the row alone
+        raise ValueError(f"kernel_width {width!r} gives weight 0 to every perturbed "
+                         f"sample that differs from the row")
     targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()   # row 0: the instance
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)
     order = np.argsort(-np.abs(coefs), kind="stable")

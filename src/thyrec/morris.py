@@ -88,6 +88,18 @@ class MorrisResult:
     def model_evals(self) -> int:
         return self.trajectories * (len(self.feature_names) + 1)
 
+    def as_dict(self) -> dict:
+        """The sensitivity.json shape: one object per feature in schema order,
+        the model evaluations and the ranking."""
+        keys = ["mu", "mu_star", "sigma", "degenerate"]
+        return {"features": [dict(zip(["name", *keys], row)) for row in self.table(keys)[1]],
+                "model_evals": self.model_evals, "ranking": self.ranking}
+
+    def table(self, columns: list[str]) -> tuple[list[str], list[tuple]]:
+        """(header, rows) of the named per-feature arrays, one row per feature, name first."""
+        values = [getattr(self, column).tolist() for column in columns]
+        return ["feature", *columns], list(zip(self.feature_names, *values))
+
 
 def _buffers(r: int, n: int, d: int) -> list[np.ndarray]:
     """This thread's Morris buffers for r trajectories of n points in d

@@ -160,6 +160,12 @@ class TrainHistory:
     def __len__(self) -> int:
         return len(self.train_loss)
 
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """The history.csv header and one row per epoch, numbered from 1."""
+        return (["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+                list(zip(range(1, len(self) + 1), self.train_loss, self.train_accuracy,
+                         self.val_loss, self.val_accuracy)))
+
 
 @dataclass
 class ForwardPass:

@@ -128,10 +128,14 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
     }
 
 
-def save_model(artifact: ModelArtifact, path: str) -> None:
-    text = json.dumps(artifact_to_dict(artifact), sort_keys=True, indent=1)
+def write_json(path, obj) -> None:
+    """Write obj to path as canonical JSON: sorted keys, indent 1, a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
+def save_model(artifact: ModelArtifact, path: str) -> None:
+    write_json(path, artifact_to_dict(artifact))
 
 
 def _matches(value, hint) -> bool:

@@ -129,6 +129,15 @@ class TestEvaluate:
                      "--partition", "all"]) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_without_out_writes_nothing(self, small_csv, tmp_path, monkeypatch):
+        """evaluate's --out has no default: without it, no report and no
+        directory appear, in the working directory or beside the model."""
+        model = run_train(small_csv, tmp_path / "run")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--model", str(model), "--data", small_csv]) == 0
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_schema_mismatch_exits_3(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run3")
         fewer = tmp_path / "fewer.csv"
@@ -335,11 +344,13 @@ class TestExplain:
                      "--index", "0", "--num-samples", "50", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    @pytest.mark.parametrize("width", ["nan", "inf", "1e-300"])
+    @pytest.mark.parametrize("width", ["nan", "inf", "1e-300", "1e-5", "1e-160"])
     def test_nan_kernel_width_exits_2(self, small_csv, tmp_path, capsys, width):
         """An infinite width would weight every sample 1.0: a global fit
         reported as a local explanation. A width whose square is 0 would
-        weight the row itself exp(-0/0) = NaN."""
+        weight the row itself exp(-0/0) = NaN. A width so narrow that every
+        sample unlike the row weighs 0 would fit the row alone, with every
+        weight 0 and local_r2 1."""
         model = run_train(small_csv, tmp_path / "run")
         capsys.readouterr()
         assert main(["explain", "--model", str(model), "--data", small_csv,
@@ -633,25 +644,36 @@ class TestQuotedNames:
             assert sorted(row[0] for row in table[1:]) == sorted(names), file
 
 
+AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def numpy_dispatches(features) -> bool:
+    """Whether numpy dispatches to any of these CPU features on this host."""
+    from numpy._core import _multiarray_umath as umath
+    return any(f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)
+               for f in features)
+
+
 class TestDeterminismScope:
-    """The byte-identity promise holds for one machine, numpy build and BLAS
-    core type, whatever the BLAS thread count. Another OpenBLAS core type
-    may move the last bits of the weights in model.json, but the reports
-    must not move and the model's probabilities must agree far below any
-    printed precision."""
+    """The byte-identity promise holds for one machine, numpy build, numpy
+    SIMD dispatch and BLAS core type, whatever the BLAS thread count.
+    Another OpenBLAS core type, or numpy kept off its AVX-512 kernels, may
+    move the last bits of the weights in model.json, but the reports must
+    not move and the model's probabilities must agree far below any printed
+    precision."""
 
     @staticmethod
     def cli_in_subprocess(argv, **env_vars):
         env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
         env.pop("OPENBLAS_CORETYPE", None)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
         env.update(env_vars)
         subprocess.run([sys.executable, "-m", "thyrec.cli", *argv],
                        env=env, check=True, capture_output=True)
 
-    def train_in_subprocess(self, csv, out, core_type):
+    def train_in_subprocess(self, csv, out, **env_vars):
         self.cli_in_subprocess(["train", "--data", csv, "--seed", "1", "--epochs", "30",
-                                "--out", str(out)],
-                               **({"OPENBLAS_CORETYPE": core_type} if core_type else {}))
+                                "--out", str(out)], **env_vars)
         return load_model(str(out / "model.json"))
 
     def test_blas_thread_count_keeps_every_byte(self, recurrence_source, tmp_path):
@@ -672,19 +694,25 @@ class TestDeterminismScope:
                                       "history.csv", "model.json", "train_report.json"]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("env_vars", [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_DISPATCH)},
+    ], ids=["prescott", "no-avx512"])
     def test_other_core_type_keeps_reports_and_probabilities(self, recurrence_source,
-                                                             tmp_path):
+                                                             tmp_path, env_vars):
+        if "NPY_DISABLE_CPU_FEATURES" in env_vars and not numpy_dispatches(AVX512_DISPATCH):
+            pytest.skip("numpy dispatches to no AVX-512 kernel on this host")
         csv = str(recurrence_source.path)
-        default = self.train_in_subprocess(csv, tmp_path / "default", None)
-        prescott = self.train_in_subprocess(csv, tmp_path / "prescott", "Prescott")
+        default = self.train_in_subprocess(csv, tmp_path / "default")
+        other = self.train_in_subprocess(csv, tmp_path / "other", **env_vars)
         report = "train_report.json"
         assert (tmp_path / "default" / report).read_bytes() == \
-            (tmp_path / "prescott" / report).read_bytes()
+            (tmp_path / "other" / report).read_bytes()
         dataset = data.load_csv(csv)
         encoded = data.encode_with_schema(dataset.rows, dataset.targets, default.schema)
         X = data.apply_scaler(default.scaler, encoded.X)
-        assert X.tobytes() == data.apply_scaler(prescott.scaler, encoded.X).tobytes()
-        gap = np.max(np.abs(predict_proba(default.mlp, X) - predict_proba(prescott.mlp, X)))
+        assert X.tobytes() == data.apply_scaler(other.scaler, encoded.X).tobytes()
+        gap = np.max(np.abs(predict_proba(default.mlp, X) - predict_proba(other.mlp, X)))
         assert gap <= 1e-9
 
 

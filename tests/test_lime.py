@@ -1,7 +1,9 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +387,28 @@ class TestExplain:
         a = explain(lambda Z: 1.0 / (1.0 + np.exp(-Z.sum(axis=1))), X[1], X, config)
         b = explain(lambda Z: 1.0 / (1.0 + np.exp(-Z.sum(axis=1))), X[1], X, config)
         assert a == b
+
+    def test_width_that_weights_only_the_row_is_refused(self):
+        """A width so narrow that every sample unlike the row weighs 0 would
+        fit the row alone; it is refused naming the width, and 1e-160, whose
+        square is subnormal, raises no overflow warning on the way."""
+        X = np.random.default_rng(6).normal(size=(100, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for width in (1e-5, 1e-160):
+                config = LimeConfig(num_samples=200, kernel_width=width)
+                with pytest.raises(ValueError, match=re.escape(f"kernel_width {width!r} ")):
+                    explain(sigmoid_3x1_minus_2x2, X[0], X, config)
+            exp = explain(sigmoid_3x1_minus_2x2, X[0], X,
+                          LimeConfig(num_samples=200, kernel_width=3.0))
+        assert 0.0 <= exp.local_r2 < 1.0
+
+    def test_training_rows_like_the_row_are_not_a_width_fault(self):
+        """When every training row matches the explained one, every sample is
+        the row itself: no width could weight another, so nothing is refused."""
+        X = np.ones((20, 3))
+        exp = explain(lambda Z: np.full(len(Z), 0.3), X[0], X, LimeConfig(num_samples=50))
+        assert [w for _, w in exp.feature_weights] == [0.0, 0.0, 0.0]
 
     def test_length_is_min_of_num_features_and_d(self):
         X = np.random.default_rng(3).normal(size=(50, 3))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -291,3 +292,30 @@ class TestAnalyze:
                          feature_names=[f"c{j}" for j in range(16)])
         assert len(result.mu_star) == 16
         assert sorted(result.ranking) == sorted(f"c{j}" for j in range(16))
+
+
+class TestResultShapes:
+    """The sensitivity.json object and the two CSV tables a result gives."""
+
+    @pytest.fixture
+    def result(self):
+        ee = np.array([[0.5, 0.0, -2.0], [1.5, 0.0, 1.0]])
+        return aggregate(ee, ["a", 'b "q"', "c"], degenerate=np.array([False, True, False]))
+
+    def test_as_dict_round_trips_through_json(self, result):
+        shape = result.as_dict()
+        assert json.loads(json.dumps(shape)) == shape
+        assert [f["name"] for f in shape["features"]] == result.feature_names
+        assert [type(f["degenerate"]) for f in shape["features"]] == [bool] * 3
+        assert [f["degenerate"] for f in shape["features"]] == [False, True, False]
+        assert [f["mu_star"] for f in shape["features"]] == result.mu_star.tolist()
+        assert sorted(shape["ranking"]) == sorted(result.feature_names)
+        assert shape["model_evals"] == 2 * (3 + 1)
+
+    @pytest.mark.parametrize("columns", [["mu", "mu_star", "sigma"], ["mu_star", "sigma"]])
+    def test_table_header_and_widths(self, result, columns):
+        header, rows = result.table(columns)
+        assert header == ["feature", *columns]
+        assert [row[0] for row in rows] == result.feature_names
+        assert all(len(row) == len(header) for row in rows)
+        assert list(rows[2][1:]) == [getattr(result, c)[2] for c in columns]

@@ -310,6 +310,20 @@ class TestTrain:
         assert len(history) == 7
         assert all(math.isfinite(v) for v in history.val_loss)
 
+    def test_history_table_numbers_epochs_from_one(self):
+        """history.csv's rows; without a validation set its entries are NaN."""
+        X, y = separable_blobs()
+        mlp = init_mlp(2, [4], seed=1, dropout=0.0)
+        config = TrainConfig(epochs=3, dropout=0.0, validation_fraction=0.0, seed=1)
+        _, history = train(mlp, X, y, config)
+        header, rows = history.table()
+        assert header == ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+        assert [row[0] for row in rows] == [1, 2, 3]
+        assert [list(row[1:3]) for row in rows] == \
+            [list(pair) for pair in zip(history.train_loss, history.train_accuracy)]
+        assert all(len(row) == 5 and math.isnan(row[3]) and math.isnan(row[4])
+                   for row in rows)
+
     def test_deterministic_weights_and_history(self):
         X, y = separable_blobs(seed=3)
         runs = []

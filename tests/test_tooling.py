@@ -70,6 +70,12 @@ class TestTracedCli:
         assert len(attrs_of(train_spans, "data.load_csv")) == 1
         assert len(attrs_of(train_spans, "data.encode")) == 1
 
+    def test_train_saves_the_model_once(self, workdir, train_spans):
+        """model.json goes through persist.save_model, whose span carries the
+        artifact bytes the benchmark reports."""
+        size = (workdir / "run" / "model.json").stat().st_size
+        assert attrs_of(train_spans, "persist.save") == [{"bytes": size}]
+
     def test_train_traces_backward_and_adam(self, train_spans):
         backward = attrs_of(train_spans, "neural.backward")
         assert backward and all({"rows", "clamped"} <= a.keys() for a in backward)
@@ -185,3 +191,26 @@ def test_tools_use_no_private_thyrec_name():
     used = {path.relative_to(ROOT).as_posix(): private_thyrec_names(path.read_text())
             for folder in ("bench", "scripts") for path in sorted((ROOT / folder).rglob("*.py"))}
     assert {path: names for path, names in used.items() if names} == {}
+
+
+def file_calls(fn: ast.FunctionDef) -> set[str]:
+    """The last name of every call in fn that opens, serializes or makes a
+    file: `open`, `dumps`, `write_text` or `mkdir`, however reached."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    return names & {"open", "dumps", "write_text", "mkdir"}
+
+
+def test_cli_commands_leave_writing_to_the_writers():
+    """Each `cmd_*` in thyrec/cli.py names its files in one `_write` call (and
+    model.json through `save_model`); none opens, serializes or makes a file."""
+    tree = ast.parse((ROOT / "src" / "thyrec" / "cli.py").read_text())
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(commands) == 4
+    assert {fn.name: file_calls(fn) for fn in commands if file_calls(fn)} == {}
+    helper = ast.parse("def cmd_x(a):\n    a.mkdir()\n    open(a).write(json.dumps(a))\n")
+    assert file_calls(helper.body[0]) == {"mkdir", "open", "dumps"}
