@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid flag or unwritable --out, 3 data error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import asdict
@@ -208,5 +209,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of `thyrec` and `python -m thyrec.cli`: main, then exit."""
+    code = main()
+    # Shutdown garbage-collects the ~22,000 objects that the imports leave
+    # tracked, ~22 ms per command, and skips frozen ones (~6 ms). Not in main,
+    # whose in-process callers go on using their heap.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -292,14 +292,16 @@ def fit(csv_path: str, config: TrainConfig,
     HIDDEN_LAYOUT network; carve the monitoring rows from the test
     partition when config.validation_source is test-as-paper; train; count
     the train and test confusions. It takes a path rather than a loaded
-    table so that neither the loaded table nor its unscaled matrix is alive
-    while the network trains."""
+    table so that neither the loaded table nor any whole-table matrix is
+    alive while the network trains."""
     encoded = label_encode(load_csv(csv_path))   # the coded table is not kept
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
     scaler = fit_scaler(encoded.X[idx.train])
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
     X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
     y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
+    schema = encoded.schema
+    del encoded    # the scaled table is not kept either, once sliced
     mlp = init_mlp(X_train.shape[1], HIDDEN_LAYOUT, seed=config.seed, dropout=config.dropout)
 
     X_val = y_val = None
@@ -313,5 +315,5 @@ def fit(csv_path: str, config: TrainConfig,
     mlp, history = train(mlp, X_train, y_train, config, X_val, y_val)
     results = {"train": confusion(y_train, predict_label(mlp, X_train)),
                "test": confusion(y_test, predict_label(mlp, X_test))}
-    return ModelArtifact(schema=encoded.schema, scaler=scaler, mlp=mlp, train_config=config,
+    return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
                          final_metrics=results, split=split), history

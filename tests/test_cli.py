@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import thyrec
 from synth import generate_rows, write_csv
 from test_persist import NEGATIVE_COUNT, empty_first_hidden, mutate, no_outputs, two_outputs
 from thyrec import data
-from thyrec.cli import build_parser, main
+from thyrec.cli import build_parser, main, run
 from thyrec.lime import LimeConfig
 from thyrec.morris import MorrisConfig
 from thyrec.neural import TrainConfig, predict_proba
@@ -26,6 +27,11 @@ def small_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.csv"
     write_csv(path, n=120, seed=5)
     return str(path)
+
+
+def child_env() -> dict:
+    """The environment of a child Python process that imports this thyrec."""
+    return dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
 
 
 def run_train(csv, out, seed=1, epochs=3, extra=()):
@@ -404,8 +410,7 @@ class TestExplain:
                 "--num-samples", "50", "--out", str(tmp_path / "exp")]
         code = f"import sys; from thyrec.cli import main; main({argv!r}); " \
                "print('numpy.ma' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                               capture_output=True, text=True)
         return done.stdout.splitlines()[-1] == "True"
 
@@ -664,7 +669,7 @@ class TestDeterminismScope:
 
     @staticmethod
     def cli_in_subprocess(argv, **env_vars):
-        env = dict(os.environ, PYTHONPATH=str(Path(thyrec.__file__).parents[1]))
+        env = child_env()
         env.pop("OPENBLAS_CORETYPE", None)
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
         env.update(env_vars)
@@ -714,6 +719,65 @@ class TestDeterminismScope:
         assert X.tobytes() == data.apply_scaler(other.scaler, encoded.X).tobytes()
         gap = np.max(np.abs(predict_proba(default.mlp, X) - predict_proba(other.mlp, X)))
         assert gap <= 1e-9
+
+
+class TestProcessEntry:
+    """`thyrec` and `python -m thyrec.cli` run `run`: main, then gc.freeze,
+    so interpreter shutdown skips collecting the imported heap. main alone
+    never freezes its caller's heap."""
+
+    def test_module_run_as_main_freezes_after_main(self, small_csv, tmp_path):
+        model = run_train(small_csv, tmp_path / "run")
+        argv = ["thyrec", "evaluate", "--model", str(model), "--data", small_csv]
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+                f"sys.argv = {argv!r}\n"
+                "runpy.run_module('thyrec.cli', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
+                              capture_output=True, text=True)
+        label, count = done.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
+
+    def test_main_in_process_freezes_nothing(self, small_csv, tmp_path):
+        before = gc.get_freeze_count()
+        model = run_train(small_csv, tmp_path / "run", epochs=1)
+        assert main(["evaluate", "--model", str(model), "--data", small_csv]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_process_entry(self):
+        # a text check: tomllib needs Python 3.11 and the project allows 3.10
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split() == ["thyrec", "=", f'"thyrec.cli:{run.__name__}"']
+
+    def test_process_path_writes_what_main_writes(self, small_csv, tmp_path, capsys):
+        """Every output byte, and the stdout of every command but train's
+        last line (its wall time), is the same through `python -m thyrec.cli`
+        as through an in-process main."""
+        def commands(out):
+            common = ["--data", small_csv, "--out", str(out)]
+            model = ["--model", str(out / "model.json")]
+            return [["train", *common, "--seed", "1", "--epochs", "2"],
+                    ["evaluate", *common, *model],
+                    ["explain", *common, *model, "--index", "3"],
+                    ["sensitivity", *common, *model]]
+
+        process, in_process = [], []
+        for argv in commands(tmp_path / "process"):
+            done = subprocess.run([sys.executable, "-m", "thyrec.cli", *argv],
+                                  env=child_env(), check=True, capture_output=True, text=True)
+            process.append(done.stdout)
+        for argv in commands(tmp_path / "main"):
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+
+        for stdout in (process, in_process):
+            stdout[0] = stdout[0].splitlines()[:-1]
+        assert process == in_process
+        written = [{path.name: path.read_bytes() for path in (tmp_path / side).iterdir()}
+                   for side in ("process", "main")]
+        assert len(written[0]) == 9
+        assert written[0] == written[1]
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from synth import write_csv
+from thyrec import persist
 from thyrec.data import DataError, Feature, FeatureSchema, Scaler, stratified_split
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
@@ -355,3 +357,29 @@ def test_fit_is_the_model_train_writes(recurrence_source, tmp_path, seed, strati
     config = TrainConfig(seed=seed, epochs=epochs, validation_source=val_source)
     save_model(fit(csv, config, stratify)[0], str(tmp_path / "fit.json"))
     assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
+def test_fit_trains_without_the_full_scaled_table(tmp_path, monkeypatch):
+    """While the network trains, fit holds the train and test slices but
+    not the whole scaled matrix they were cut from."""
+    n = 10_000
+    write_csv(tmp_path / "table.csv", n=n, seed=3)
+    held = {}
+
+    class Stop(Exception):
+        pass
+
+    def train(mlp, X_train, *args):
+        held["bytes"] = tracemalloc.get_traced_memory()[0]
+        held["full"] = n * X_train.shape[1] * X_train.itemsize
+        raise Stop
+
+    monkeypatch.setattr(persist, "train", train)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            fit(str(tmp_path / "table.csv"), TrainConfig(epochs=1))
+    finally:
+        tracemalloc.stop()
+    # the slices together are one full matrix; keeping the matrix too makes two
+    assert held["bytes"] < 1.5 * held["full"], held
