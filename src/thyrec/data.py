@@ -82,23 +82,11 @@ class Column:
         return len(self.codes)
 
 
-class CodedRows:
-    """A table's feature cells, stored by column: at least one Column, all
-    of one length."""
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: tuple[Column, ...]):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-
 @dataclass
 class Dataset:
     header: list[str]
-    rows: CodedRows      # feature cells by column, without the target
-    targets: Column      # target cells
+    rows: tuple[Column, ...]   # the feature columns, at least one, without the target
+    targets: Column            # target cells, one per row
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -235,7 +223,7 @@ def load_csv(path: str) -> Dataset:
         raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return Dataset(header=header, rows=CodedRows(tuple(columns[:-1])), targets=columns[-1])
+    return Dataset(header=header, rows=tuple(columns[:-1]), targets=columns[-1])
 
 
 def _split_blocks(fh, k: int) -> Iterator[list[str]]:
@@ -301,23 +289,23 @@ def label_encode(dataset: Dataset) -> EncodedDataset:
     """Encode categoricals to their sorted-vocab index, targets to {0, 1}
     with the positive class = the lexicographically later target string,
     against the schema inferred from the same coded columns."""
-    schema = _infer_schema(dataset.header, dataset.rows.columns, dataset.targets)
+    schema = _infer_schema(dataset.header, dataset.rows, dataset.targets)
     return encode_with_schema(dataset.rows, dataset.targets, schema)
 
 
-def encode_with_schema(rows: CodedRows, targets: Column,
+def encode_with_schema(rows: Sequence[Column], targets: Column,
                        schema: FeatureSchema) -> EncodedDataset:
     """Encode a loaded table against a fixed schema (a trained model's, when
     scoring new data): each distinct value is parsed or looked up once, and
     a gather by code fills X and y. DataError names the first cell in row
     order that the schema cannot encode."""
-    d, n = len(schema.features), len(rows)
-    if len(rows.columns) < d:
+    d, n = len(schema.features), len(rows[0])
+    if len(rows) < d:
         raise DataError(f"a row has fewer than the schema's {d} feature cells")
     if len(targets) != n:
         raise DataError(f"{n} rows but {len(targets)} targets")
     X = np.empty((n, d), dtype=np.float64)
-    for j, (feat, column) in enumerate(zip(schema.features, rows.columns)):
+    for j, (feat, column) in enumerate(zip(schema.features, rows)):
         what = f"column {feat.name!r}"
         if feat.kind == CATEGORICAL:
             lut = _lookup(feat.vocab, column, what)

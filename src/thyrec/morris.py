@@ -9,11 +9,12 @@ effect and sigma the sample standard deviation across trajectories.
 
 A screen draws its random stream in three whole-array calls (every base
 point, every direction, every order) and builds all trajectories with one
-broadcast. The model sees every point in one call. The trajectories, the
-mapped points and the step differences, each r * (d + 1) * d or r * d * d
-floats, live in per-thread buffers from `neural.thread_buffers`, reused by
-the thread's next screen of the same shape (about 0.6 MB at 100
-trajectories of 16 features).
+broadcast. The model sees every point in one call. Consecutive points of a
+trajectory differ in one coordinate only, so comparing them finds the
+coordinate each step moved. The trajectories and their mapped points, each
+r * (d + 1) * d floats, live in per-thread buffers from
+`neural.thread_buffers`, reused by the thread's next screen of the same
+shape (about 0.43 MB at 100 trajectories of 16 features).
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class FeatureRanges:
     1e-12 are flagged degenerate and probed at the constant lo."""
     lo: np.ndarray
     hi: np.ndarray
-
-    @classmethod
-    def from_data(cls, X: np.ndarray) -> "FeatureRanges":
-        X = np.asarray(X, dtype=np.float64)
-        return cls(lo=X.min(axis=0), hi=X.max(axis=0))
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -103,10 +99,10 @@ class MorrisResult:
 
 def _buffers(r: int, n: int, d: int) -> list[np.ndarray]:
     """This thread's Morris buffers for r trajectories of n points in d
-    features: the (r, n, d) trajectories, their (r * n, d) model-space
-    points and the (r, n - 1, d) step differences. Reused, because fresh
-    arrays per call raised explain-serve's screen p50 from 1.7 to 2.0 ms."""
-    return thread_buffers("morris", [(r, n, d), (r * n, d), (r, n - 1, d)])
+    features: the (r, n, d) trajectories and their (r * n, d) model-space
+    points. Reused, because fresh arrays per call raised explain-serve's
+    screen p50 from 1.7 to 2.0 ms."""
+    return thread_buffers("morris", [(r, n, d), (r * n, d)])
 
 
 def generate_trajectories(d: int, config: MorrisConfig, rng: np.random.Generator,
@@ -151,13 +147,11 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     f64. Degenerate features get EE = 0.
     """
     r, n, d = trajectories.shape
-    _, points, diffs = _buffers(r, n, d)
+    points = _buffers(r, n, d)[1]
     values = _outputs(f, ranges.map_unit(trajectories.reshape(r * n, d), out=points))
     values = values.reshape(r, n)
-    # |step| per coordinate, then the coordinate moved at each step and the
-    # signed step it made (r x d steps x d coordinates)
-    np.abs(np.subtract(trajectories[:, 1:], trajectories[:, :-1], out=diffs), out=diffs)
-    moved = np.argmax(diffs, axis=2)[..., None]
+    # the one coordinate moved at each step, then the signed step it made
+    moved = np.argmax(trajectories[:, 1:] != trajectories[:, :-1], axis=2)[..., None]
     step = (np.take_along_axis(trajectories[:, 1:], moved, axis=2)
             - np.take_along_axis(trajectories[:, :-1], moved, axis=2))[..., 0]
     ee = np.zeros((r, n - 1))
@@ -210,7 +204,7 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
     if len(names) != d:
         raise ValueError(f"{len(names)} feature names for {d} features")
     rng = np.random.default_rng(config.seed)
-    ranges = FeatureRanges.from_data(X)
+    ranges = FeatureRanges(lo=X.min(axis=0), hi=X.max(axis=0))
     trajectories = generate_trajectories(d, config, rng,
                                          out=_buffers(config.trajectories, d + 1, d)[0])
     ee = elementary_effects(predict_fn, trajectories, ranges, config.effective_delta)

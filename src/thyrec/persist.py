@@ -290,7 +290,8 @@ def fit(csv_path: str, config: TrainConfig,
     schema; draw the seeded TRAIN_RATIO split (by class if stratify); fit
     the scaler on the training rows and scale every row; initialise a
     HIDDEN_LAYOUT network; carve the monitoring rows from the test
-    partition when config.validation_source is test-as-paper; train; count
+    partition when config.validation_source is test-as-paper and
+    config.validation_fraction is above 0; train; count
     the train and test confusions. It takes a path rather than a loaded
     table so that neither the loaded table nor any whole-table matrix is
     alive while the network trains."""
@@ -305,7 +306,7 @@ def fit(csv_path: str, config: TrainConfig,
     mlp = init_mlp(X_train.shape[1], HIDDEN_LAYOUT, seed=config.seed, dropout=config.dropout)
 
     X_val = y_val = None
-    if config.validation_source == VAL_FROM_TEST_AS_PAPER:
+    if config.validation_source == VAL_FROM_TEST_AS_PAPER and config.validation_fraction > 0.0:
         # mirror mode: monitoring set carved from the tail of a shuffled test set
         perm = np.random.default_rng(config.seed).permutation(len(y_test))
         n_val = max(1, int(np.floor(config.validation_fraction * len(y_test) + 0.5)))

@@ -114,8 +114,8 @@ def test_criterion_5_lime_linear_fidelity():
     for seed in range(20):
         config = LimeConfig(num_features=2, ridge_lambda=1e-6, seed=seed)
         exp = explain(black_box, instance, X_train, config)
-        w1 = next(w for f, w in exp.feature_weights if "f0" in f)
-        w2 = next(w for f, w in exp.feature_weights if "f1" in f)
+        w1 = next(w for f, w in exp.feature_weights if "f0" in f.split())
+        w2 = next(w for f, w in exp.feature_weights if "f1" in f.split())
         worst_r2 = min(worst_r2, exp.local_r2)
         ok = ok and exp.local_r2 > 0.99 and w1 > 0.0 > w2 and abs(w1) > abs(w2)
     elapsed = time.perf_counter() - started

@@ -27,7 +27,7 @@ def cells(column) -> list[str]:
 
 def row_lists(ds) -> list[list[str]]:
     """A loaded table's feature cells as one list per row."""
-    return [list(row) for row in zip(*map(cells, ds.rows.columns))]
+    return [list(row) for row in zip(*map(cells, ds.rows))]
 
 
 def schema_of(tmp_path, text):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from thyrec import neural
 from thyrec.data import CATEGORICAL, DataError, Feature, FeatureSchema, Scaler
 from thyrec.lime import (LimeConfig, bin_codes, build_stats, explain, fit_discretizer,
                          fit_surrogate, kernel_weight, sample_perturbations)
@@ -361,8 +362,8 @@ class TestExplain:
             # (coefficient +3), its x2 bin pushes away (coefficient -2)
             exp = explain(sigmoid_3x1_minus_2x2, np.array([1.0, 1.0]), X, config)
             weights = dict(exp.feature_weights)
-            w1 = next(w for f, w in exp.feature_weights if "f0" in f)
-            w2 = next(w for f, w in exp.feature_weights if "f1" in f)
+            w1 = next(w for f, w in exp.feature_weights if "f0" in f.split())
+            w2 = next(w for f, w in exp.feature_weights if "f1" in f.split())
             assert w1 > 0.0 > w2, f"seed {seed}"
             assert abs(w1) > abs(w2), f"seed {seed}"
             assert len(weights) == 2
@@ -524,6 +525,24 @@ class TestThreadBuffers:
         peak = self.warm_peak(lambda: analyze(f, X, MorrisConfig(seed=1)))
         # fresh trajectories, points and differences took ~720 KB; buffers ~200 KB
         assert peak < 400_000
+
+    def test_morris_keeps_trajectories_and_points_only(self):
+        """A screen leaves its thread the (r, d+1, d) trajectories and the
+        (r(d+1), d) points, and a screen of another trajectory count
+        replaces them."""
+        f, X = self.model(), np.random.default_rng(0).normal(size=(100, 16))
+        shapes = []
+
+        def screens():
+            for r in (30, 12):
+                analyze(f, X, MorrisConfig(trajectories=r, seed=1))
+                shapes.append([b.shape for b in neural._workspace.buffers["morris"]])
+
+        thread = threading.Thread(target=screens)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert shapes == [[(30, 17, 16), (30 * 17, 16)], [(12, 17, 16), (12 * 17, 16)]]
 
     def test_result_unchanged_by_later_call(self):
         f, X = self.model(), np.random.default_rng(1).normal(size=(120, 16))

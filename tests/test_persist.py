@@ -359,6 +359,15 @@ def test_fit_is_the_model_train_writes(recurrence_source, tmp_path, seed, strati
     assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("val_source", ["train", "test-as-paper"])
+def test_fit_monitors_nothing_at_validation_fraction_0(tmp_path, val_source):
+    """validation_fraction 0 carves no monitoring row from either source."""
+    write_csv(tmp_path / "table.csv", n=120, seed=5)
+    config = TrainConfig(epochs=2, validation_fraction=0.0, validation_source=val_source)
+    history = fit(str(tmp_path / "table.csv"), config)[1]
+    assert np.isnan(history.val_loss + history.val_accuracy).all()
+
+
 def test_fit_trains_without_the_full_scaled_table(tmp_path, monkeypatch):
     """While the network trains, fit holds the train and test slices but
     not the whole scaled matrix they were cut from."""

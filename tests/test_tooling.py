@@ -12,8 +12,10 @@ rename its helpers.
 """
 
 import ast
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,15 @@ class TestTracedCli:
                        "--trajectories", "10", "--out", workdir / "screen")
         evaluate = attrs_of(spans, "morris.evaluate")
         assert evaluate and all("model_evals" in a for a in evaluate)
+
+
+def test_traced_layers_name_package_functions():
+    """Every (module, function) that bench/tracing.py wraps exists, checked
+    in-process so a renamed one is named here, not in a traced subprocess."""
+    layers = runpy.run_path(str(ROOT / "bench" / "tracing.py"))["LAYERS"]
+    missing = [f"{module}.{name}" for module, name, *_ in layers
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
 
 
 def test_request_faults_reports_its_keys(workdir, train_spans):
