@@ -104,6 +104,10 @@ class Scaler:
     means: np.ndarray
     stds: np.ndarray       # strictly positive; constant columns store 1.0
 
+    def __post_init__(self):
+        if not np.all(self.stds > 0):
+            raise ValueError("scaler stds must be > 0")
+
 
 @dataclass
 class SplitIndices:

@@ -2,8 +2,8 @@
 
 Explicit forward/backward passes over ReLU hidden layers with inverted
 dropout and a sigmoid output unit, trained by mini-batch Adam on clamped
-binary cross-entropy. Everything is deterministic given (seed, data, config):
-shuffles and dropout masks are drawn from a single seeded generator in a
+binary cross-entropy. Everything is deterministic given (rng, data, config):
+shuffles and dropout masks are drawn from the generator `train` gets, in a
 fixed order. Every weight and bias is a view into one flat vector owned by
 the MLP, and training works on that layout throughout: `backward` returns one
 gradient vector shaped like it, and Adam steps it as one vector with moments
@@ -90,6 +90,8 @@ class MLP:
                              f"{len(self.layers) - 1} hidden layers")
         if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
             raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
+        if self.layers[-1].W.shape[1] != 1:
+            raise ValueError("last layer must have exactly one output unit")
         self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
         self.layout = _param_layout(self.layers)
         views = _param_views(self.flat, self.layout)
@@ -150,7 +152,7 @@ class AdamState:
 class TrainHistory:
     """Per-epoch loss/accuracy on the training set and the validation set.
 
-    Validation entries are NaN when no validation data was configured.
+    Validation entries are NaN when `train` was given no monitoring rows.
     """
     train_loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
@@ -341,33 +343,22 @@ def _accuracy(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
-          X_val: np.ndarray | None = None,
+          rng: np.random.Generator, X_val: np.ndarray | None = None,
           y_val: np.ndarray | None = None) -> tuple[MLP, TrainHistory]:
-    """Mini-batch Adam training for config.epochs epochs.
+    """Mini-batch Adam training on every row of X for config.epochs epochs.
 
-    Each epoch reshuffles the training rows and walks them in sequential
-    mini-batches, final partial batch included. When no explicit validation
-    data is given and validation_source is "train", validation rows are
-    carved from the tail of a seeded shuffle of the training set and excluded
-    from the updates. Validation is monitoring only; there is no early
-    stopping. A run whose weights or training loss stop being finite raises
-    ValueError naming the first such epoch; numpy's overflow warnings are
-    silenced in favour of that one error.
+    Each epoch draws an order of the rows from rng and walks it in
+    sequential mini-batches, final partial batch included; the dropout
+    masks come from rng too. Each epoch also scores the monitoring rows
+    X_val, if any; there is no early stopping. A run whose weights or
+    training loss stop being finite raises ValueError naming the first such
+    epoch; numpy's overflow warnings are silenced in favour of that one
+    error.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("empty training set")
-    rng = np.random.default_rng(config.seed)
-
-    if (X_val is None and config.validation_source == VAL_FROM_TRAIN
-            and config.validation_fraction > 0.0 and X.shape[0] >= 2):
-        perm = rng.permutation(X.shape[0])
-        n_val = min(int(math.floor(config.validation_fraction * X.shape[0] + 0.5)),
-                    X.shape[0] - 1)
-        train_idx, val_idx = perm[:X.shape[0] - n_val], perm[X.shape[0] - n_val:]
-        X, y, X_val, y_val = X[train_idx], y[train_idx], X[val_idx], y[val_idx]
-
     state = init_adam(mlp.flat)
     history = TrainHistory()
     n = X.shape[0]

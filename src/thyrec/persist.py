@@ -19,9 +19,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, apply_scaler,
-                   encode_with_schema, fit_scaler, label_encode, load_csv, split,
-                   split_digest, stratified_split)
+from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, _round_half_up,
+                   apply_scaler, encode_with_schema, fit_scaler, label_encode, load_csv,
+                   split, split_digest, stratified_split)
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
                      init_mlp, predict_label, train)
@@ -204,8 +204,6 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
                     stds=_array(scaler_d, "stds", "scaler"))
     if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
         raise ArtifactError(f"scaler means/stds need one entry per feature ({d})")
-    if np.any(scaler.stds <= 0):
-        raise ArtifactError("scaler stds must be > 0")
 
     layers = []
     prev_out = None
@@ -231,8 +229,6 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         raise ArtifactError("artifact has no layers")
     if layers[0].W.shape[0] != d:
         raise ArtifactError("first layer width does not match the schema")
-    if layers[-1].W.shape[1] != 1:
-        raise ArtifactError("last layer must have exactly one output unit")
 
     final = {}
     for name, ed in _get(raw, "final_metrics", "artifact", dict).items():
@@ -288,33 +284,38 @@ def fit(csv_path: str, config: TrainConfig,
     """The model `thyrec train` writes, trained on the CSV at csv_path, and
     its per-epoch history. In order: label-encode the table, inferring its
     schema; draw the seeded TRAIN_RATIO split (by class if stratify); fit
-    the scaler on the training rows and scale every row; initialise a
-    HIDDEN_LAYOUT network; carve the monitoring rows from the test
-    partition when config.validation_source is test-as-paper and
-    config.validation_fraction is above 0; train; count
-    the train and test confusions. It takes a path rather than a loaded
-    table so that neither the loaded table nor any whole-table matrix is
-    alive while the network trains."""
+    the scaler on the training rows and scale every row; pick the monitoring
+    rows; initialise a HIDDEN_LAYOUT network; train; count the train and
+    test confusions. The monitoring rows are the last validation_fraction · n
+    (rounded half up, at most n - 1) of a seeded shuffle of the n training
+    rows, which is the training generator's first draw and leaves them out
+    of training, or for test-as-paper of the n test rows, shuffled by a
+    generator of its own. It takes a path rather than a loaded table so that
+    no whole-table matrix is alive while the network trains; every row it
+    trains on or monitors is a slice of the reordered partitions."""
     encoded = label_encode(load_csv(csv_path))   # the coded table is not kept
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
     scaler = fit_scaler(encoded.X[idx.train])
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
-    X_train, X_test = encoded.X[idx.train], encoded.X[idx.test]
-    y_train, y_test = encoded.y[idx.train], encoded.y[idx.test]
+    rng = np.random.default_rng(config.seed)       # draws everything training draws
+    rows = {"train": idx.train, "test": idx.test}
+    source = "test" if config.validation_source == VAL_FROM_TEST_AS_PAPER else "train"
+    n_val = 0
+    if config.validation_fraction > 0.0:
+        shuffle = rng if source == "train" else np.random.default_rng(config.seed)
+        rows[source] = rows[source][shuffle.permutation(len(rows[source]))]
+        n_val = min(_round_half_up(config.validation_fraction * len(rows[source])),
+                    len(rows[source]) - 1)
+    X = {name: encoded.X[r] for name, r in rows.items()}
+    y = {name: encoded.y[r] for name, r in rows.items()}
     schema = encoded.schema
     del encoded    # the scaled table is not kept either, once sliced
-    mlp = init_mlp(X_train.shape[1], HIDDEN_LAYOUT, seed=config.seed, dropout=config.dropout)
+    mlp = init_mlp(X["train"].shape[1], HIDDEN_LAYOUT, seed=config.seed, dropout=config.dropout)
 
-    X_val = y_val = None
-    if config.validation_source == VAL_FROM_TEST_AS_PAPER and config.validation_fraction > 0.0:
-        # mirror mode: monitoring set carved from the tail of a shuffled test set
-        perm = np.random.default_rng(config.seed).permutation(len(y_test))
-        n_val = max(1, int(np.floor(config.validation_fraction * len(y_test) + 0.5)))
-        sel = perm[len(y_test) - n_val:]
-        X_val, y_val = X_test[sel], y_test[sel]
-
-    mlp, history = train(mlp, X_train, y_train, config, X_val, y_val)
-    results = {"train": confusion(y_train, predict_label(mlp, X_train)),
-               "test": confusion(y_test, predict_label(mlp, X_test))}
+    cut = len(rows[source]) - n_val
+    n_fit = cut if source == "train" else len(rows["train"])
+    mlp, history = train(mlp, X["train"][:n_fit], y["train"][:n_fit], config, rng,
+                         X[source][cut:], y[source][cut:])
+    results = {name: confusion(y[name], predict_label(mlp, X[name])) for name in rows}
     return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
                          final_metrics=results, split=split), history

@@ -468,6 +468,13 @@ class TestScaler:
                            np.array([[3.0]]))
         assert out[0, 0] == 2.0
 
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
+    def test_hand_built_std_must_be_positive(self, std):
+        """Else apply_scaler would divide by it and return inf or NaN."""
+        from thyrec.data import Scaler
+        with pytest.raises(ValueError, match=re.escape("scaler stds must be > 0")):
+            Scaler(means=np.zeros(2), stds=np.array([1.0, std]))
+
     def test_dimension_mismatch(self):
         scaler = fit_scaler(np.ones((3, 2)) + np.arange(3)[:, None])
         with pytest.raises(ValueError):

@@ -56,6 +56,14 @@ class TestInit:
         with pytest.raises(ValueError, match="dropout rates"):
             MLP(layers=layers, dropout_rates=rates)
 
+    @pytest.mark.parametrize("d_out", [2, 0])
+    def test_one_output_unit(self, d_out):
+        """Else predict_proba would read unit 0 of two, or none."""
+        layers = [Layer(np.ones((2, 2)), np.zeros(2)),
+                  Layer(np.ones((2, d_out)), np.zeros(d_out))]
+        with pytest.raises(ValueError, match="last layer must have exactly one output unit"):
+            MLP(layers=layers, dropout_rates=[0.0])
+
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
     def test_dropout_outside_unit_interval_rejected(self, rate):
         with pytest.raises(ValueError):
@@ -295,18 +303,29 @@ def separable_blobs(n=20, seed=0):
     return X, y
 
 
+def carve(X, y, rng, n_val):
+    """(X_fit, y_fit, X_val, y_val): the last n_val rows of a shuffle drawn
+    from rng monitor, the others train, as `persist.fit` picks them."""
+    perm = rng.permutation(len(y))
+    keep, val = perm[:len(y) - n_val], perm[len(y) - n_val:]
+    return X[keep], y[keep], X[val], y[val]
+
+
 class TestTrain:
     def test_linearly_separable_reaches_full_accuracy(self):
         X, y = separable_blobs()
         mlp = init_mlp(2, [8], seed=0, dropout=0.0)
         config = TrainConfig(epochs=200, dropout=0.0, validation_fraction=0.0, seed=0)
-        mlp, history = train(mlp, X, y, config)
+        mlp, history = train(mlp, X, y, config, np.random.default_rng(0))
         assert history.train_accuracy[-1] == 1.0
 
     def test_history_length(self):
         X, y = separable_blobs()
         mlp = init_mlp(2, [4], seed=1, dropout=0.0)
-        _, history = train(mlp, X, y, TrainConfig(epochs=7, dropout=0.0, seed=1))
+        rng = np.random.default_rng(1)
+        X_fit, y_fit, X_val, y_val = carve(X, y, rng, 4)
+        _, history = train(mlp, X_fit, y_fit, TrainConfig(epochs=7, dropout=0.0, seed=1),
+                           rng, X_val, y_val)
         assert len(history) == 7
         assert all(math.isfinite(v) for v in history.val_loss)
 
@@ -315,7 +334,7 @@ class TestTrain:
         X, y = separable_blobs()
         mlp = init_mlp(2, [4], seed=1, dropout=0.0)
         config = TrainConfig(epochs=3, dropout=0.0, validation_fraction=0.0, seed=1)
-        _, history = train(mlp, X, y, config)
+        _, history = train(mlp, X, y, config, np.random.default_rng(1))
         header, rows = history.table()
         assert header == ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
         assert [row[0] for row in rows] == [1, 2, 3]
@@ -329,11 +348,27 @@ class TestTrain:
         runs = []
         for _ in range(2):
             mlp = init_mlp(2, [6, 3], seed=9)
-            mlp, history = train(mlp, X, y, TrainConfig(epochs=5, seed=9))
+            rng = np.random.default_rng(9)
+            X_fit, y_fit, X_val, y_val = carve(X, y, rng, 4)
+            mlp, history = train(mlp, X_fit, y_fit, TrainConfig(epochs=5, seed=9), rng,
+                                 X_val, y_val)
             runs.append((mlp, history))
         for la, lb in zip(runs[0][0].layers, runs[1][0].layers):
             assert np.array_equal(la.W, lb.W) and np.array_equal(la.b, lb.b)
         assert runs[0][1] == runs[1][1]
+
+    def test_trains_on_what_it_is_given(self):
+        """The rng, the rows and the monitoring rows decide a run: the
+        config's seed and validation fields are not read."""
+        X, y = separable_blobs(seed=4)
+        runs = []
+        for config in (TrainConfig(epochs=3, seed=0, validation_fraction=0.0),
+                       TrainConfig(epochs=3, seed=5, validation_fraction=0.5,
+                                   validation_source="test-as-paper")):
+            mlp, history = train(init_mlp(2, [6], seed=2), X, y, config,
+                                 np.random.default_rng(7), X[:3], y[:3])
+            runs.append((mlp.flat.tobytes(), history))
+        assert runs[0] == runs[1]
 
     def test_partial_final_batch_included(self):
         # 11 rows with batch 4: gradients from all rows, run must not crash
@@ -341,22 +376,23 @@ class TestTrain:
         X, y = rng.normal(size=(11, 3)), rng.integers(0, 2, size=11)
         mlp = init_mlp(3, [4], seed=2)
         _, history = train(mlp, X, y, TrainConfig(epochs=2, batch_size=4, seed=2,
-                                                  validation_fraction=0.0))
+                                                  validation_fraction=0.0), rng)
         assert len(history) == 2
 
     def test_empty_training_set(self):
         mlp = init_mlp(2, [3], seed=0)
         with pytest.raises(ValueError):
-            train(mlp, np.empty((0, 2)), np.empty(0), TrainConfig(seed=0))
+            train(mlp, np.empty((0, 2)), np.empty(0), TrainConfig(seed=0),
+                  np.random.default_rng(0))
 
     def test_diverging_run_names_the_first_bad_epoch(self, recwarn):
         X, y = separable_blobs()
         config = TrainConfig(learning_rate=1e300, epochs=1, seed=0)
-        mlp, _ = train(init_mlp(2, [8, 4], seed=0), X, y, config)
+        mlp, _ = train(init_mlp(2, [8, 4], seed=0), X, y, config, np.random.default_rng(0))
         assert np.isfinite(mlp.flat).all()
         config.epochs = 5
         with pytest.raises(ValueError, match="non-finite weights or training loss after epoch 2 "):
-            train(init_mlp(2, [8, 4], seed=0), X, y, config)
+            train(init_mlp(2, [8, 4], seed=0), X, y, config, np.random.default_rng(0))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -572,15 +608,9 @@ class ReferenceNet:
         return reference_forward(self.layers, self.rates, X)[3]
 
 
-def reference_train(net, X, y, config):
-    """The train loop over ReferenceNet, validation rows carved from the
-    training set; returns the (train_loss, val_loss) lists."""
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(X.shape[0])
-    n_val = min(int(math.floor(config.validation_fraction * X.shape[0] + 0.5)),
-                X.shape[0] - 1)
-    keep, val = perm[:X.shape[0] - n_val], perm[X.shape[0] - n_val:]
-    X, y, X_val, y_val = X[keep], y[keep], X[val], y[val]
+def reference_train(net, X, y, config, rng, X_val, y_val):
+    """The train loop over ReferenceNet, drawing from rng; returns the
+    (train_loss, val_loss) lists."""
     train_loss, val_loss = [], []
     for _ in range(config.epochs):
         order = rng.permutation(X.shape[0])
@@ -674,7 +704,9 @@ class TestMatchesPerArrayReference:
         config = TrainConfig(epochs=4, seed=4)
         mlp = paper_net(4)
         ref = ReferenceNet(mlp)
-        _, history = train(mlp, X, y, config)
-        train_loss, val_loss = reference_train(ref, X, y, config)
+        X_fit, y_fit, X_val, y_val = carve(X, y, np.random.default_rng(4), 24)
+        _, history = train(mlp, X_fit, y_fit, config, np.random.default_rng(5), X_val, y_val)
+        train_loss, val_loss = reference_train(ref, X_fit, y_fit, config,
+                                               np.random.default_rng(5), X_val, y_val)
         assert same_bytes(mlp.parameters(), ref.params)
         assert history.train_loss == train_loss and history.val_loss == val_loss

@@ -359,11 +359,18 @@ def test_fit_is_the_model_train_writes(recurrence_source, tmp_path, seed, strati
     assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
-@pytest.mark.parametrize("val_source", ["train", "test-as-paper"])
-def test_fit_monitors_nothing_at_validation_fraction_0(tmp_path, val_source):
-    """validation_fraction 0 carves no monitoring row from either source."""
-    write_csv(tmp_path / "table.csv", n=120, seed=5)
-    config = TrainConfig(epochs=2, validation_fraction=0.0, validation_source=val_source)
+@pytest.mark.parametrize("val_source, fraction, n", [
+    ("train", 0.0, 120), ("test-as-paper", 0.0, 120), ("train", 0.004, 120),
+    ("test-as-paper", 0.004, 120), ("test-as-paper", 0.9, 3)],
+    ids=["train", "test-as-paper", "train-0.004", "test-as-paper-0.004",
+         "test-as-paper-one-test-row"])
+def test_fit_monitors_nothing_at_validation_fraction_0(tmp_path, val_source, fraction, n):
+    """A validation_fraction that rounds to no row (0, or 0.004 of the 96
+    training or 24 test rows) carves no monitoring row from either source;
+    nor does any fraction from the one test row of a 3-row table, since at
+    most n - 1 of a partition's n rows monitor."""
+    write_csv(tmp_path / "table.csv", n=n, seed=5)
+    config = TrainConfig(epochs=2, validation_fraction=fraction, validation_source=val_source)
     history = fit(str(tmp_path / "table.csv"), config)[1]
     assert np.isnan(history.val_loss + history.val_accuracy).all()
 

@@ -83,6 +83,14 @@ class TestTracedCli:
         assert backward and all({"rows", "clamped"} <= a.keys() for a in backward)
         assert len(attrs_of(train_spans, "neural.adam_step")) == len(backward)
 
+    def test_train_steps_on_the_fit_rows_only(self, train_spans):
+        """The 120-row table's 96 training rows less round(0.2 · 96) = 19
+        monitoring rows leave 77 fit rows: batches of 32, 32 and 13 in each
+        of the 2 epochs. bench's neural.steps and neural.batch_rows count
+        these spans."""
+        rows = [a["rows"] for a in attrs_of(train_spans, "neural.backward")]
+        assert rows == [32, 32, 13] * 2
+
     def test_explain_traces_lime_samples(self, workdir, train_spans):
         spans = traced(workdir / "explain.jsonl", "explain", "--data", workdir / "table.csv",
                        "--model", workdir / "run" / "model.json", "--index", "3",
