@@ -11,10 +11,13 @@ so perturbed rows lie on the training manifold; a draw in the instance's
 bin keeps the instance's value. Row 0 is the instance itself, and the
 model's output on it is the reported P(class=1).
 
-An explanation's four (num_samples, d) arrays (the interpretable and model
-space samples, the centred and the weighted design) live in per-thread
-buffers from `neural.thread_buffers`, reused by the thread's next explanation
-of the same shape: 4 * num_samples * d * 8 bytes, about 2.6 MB at 5,000
+An explanation's (num_samples, d) arrays live in per-thread buffers from
+`neural.thread_buffers`, reused by the thread's next explanation of the same
+shape: the interpretable samples as bool, and two float arrays. The first
+holds the model-space samples until the model has scored them, then the
+surrogate's centred design; the second holds a float copy of the
+interpretable samples, then the weighted design. That is
+2 * num_samples * d * 8 + num_samples * d bytes, about 1.4 MB at 5,000
 samples and 16 features.
 """
 
@@ -26,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import NUMERIC, DataError, FeatureSchema, Scaler, decode_category
-from .neural import PREDICT_ROWS, thread_buffers
+from .neural import PREDICT_ROWS, model_outputs, thread_buffers
 
 
 @dataclass
@@ -129,17 +132,19 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n perturbed samples around the instance.
 
-    Returns (Z, Z_model): Z is the n x d binary interpretable matrix whose
-    first row is the instance itself (all ones); Z_model holds the matching
-    model-space rows. Every other cell takes the value of an independently
-    drawn training row; where that value's bin matches the instance's, Z is 1
-    and the model value is the instance's own, otherwise Z is 0.
+    Returns (Z, Z_model): Z is the n x d bool interpretable matrix whose
+    first row is the instance itself (all True); Z_model holds the matching
+    float64 model-space rows. Every other cell takes the value of an
+    independently drawn training row; where that value's bin matches the
+    instance's, Z is True and the model value is the instance's own,
+    otherwise Z is False.
 
     The training rows are one (n - 1, d) stream of rng.integers, drawn in
     blocks of PREDICT_ROWS rows (the same numbers as one whole draw); each
     block becomes flat indices into the (n_train, d) tables in place and is
-    gathered with np.take. `out`, two C-contiguous float64 (n, d) arrays,
-    receives (Z, Z_model) and is returned; without it they are fresh.
+    gathered with np.take. `out`, C-contiguous (n, d) arrays of bool and
+    float64, receives (Z, Z_model) and is returned; without it they are
+    fresh.
     """
     if n < 2:
         raise ValueError("need n >= 2 perturbations")
@@ -147,20 +152,20 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
     d = instance.shape[0]
     inst_codes = np.array([bin_codes(e, v) for e, v in zip(stats.edges, instance)],
                           dtype=np.float64)
-    Z, Zm = (np.empty((n, d)), np.empty((n, d))) if out is None else out
-    Z[0], Zm[0] = 1.0, instance
+    Z, Zm = (np.empty((n, d), dtype=bool), np.empty((n, d))) if out is None else out
+    Z[0], Zm[0] = True, instance
     cols = np.arange(d)
     for lo in range(1, n, PREDICT_ROWS):
         z, zm = Z[lo:lo + PREDICT_ROWS], Zm[lo:lo + PREDICT_ROWS]
         flat = rng.integers(0, len(stats.codes), size=z.shape)
         flat *= d
         flat += cols
-        # every index is in range; mode "raise" would copy through a temporary out
-        np.take(stats.codes, flat, out=z, mode="clip")
-        match = np.equal(z, inst_codes)
+        # the codes pass through zm on their way to z; every index is in
+        # range, and mode "raise" would copy through a temporary out
+        np.take(stats.codes, flat, out=zm, mode="clip")
+        np.equal(zm, inst_codes, out=z)
         np.take(stats.X_train, flat, out=zm, mode="clip")
-        np.copyto(zm, instance, where=match)
-        np.copyto(z, match)
+        np.copyto(zm, instance, where=z)
     return Z, Zm
 
 
@@ -172,11 +177,15 @@ def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray | fl
 
 
 def _buffers(n: int, d: int) -> list[np.ndarray]:
-    """This thread's LIME buffers, four (n, d) arrays: the interpretable and
-    the model-space samples of `explain`, then the centred and the weighted
-    design of `fit_surrogate`. Reused, because fresh arrays per call raised
-    explain-serve's explain p50 from 4.5 to 5.4 ms on a 2-vCPU Xeon."""
-    return thread_buffers("lime", [(n, d)] * 4)
+    """This thread's LIME buffers, three (n, d) arrays: the bool
+    interpretable samples of `explain`; the model-space samples, whose
+    buffer `fit_surrogate` reuses for the centred design once the model has
+    scored them; and the weighted design of `fit_surrogate`, whose buffer
+    first holds a float copy of the interpretable samples. Reused, because
+    fresh arrays per call raised explain-serve's explain p50 from 4.5 to
+    5.4 ms on a 2-vCPU Xeon."""
+    return [*thread_buffers("lime.z", [(n, d)], dtype=bool),
+            *thread_buffers("lime", [(n, d)] * 2)]
 
 
 def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray,
@@ -186,10 +195,12 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     Solves (Zc' W Zc + lambda I) beta = Zc' W yc after weighted centering.
     Weights are normalized to mean 1 first, so scaling all weights by a
     constant leaves the fit unchanged. Returns (coefficients, intercept,
-    weighted R^2 of the fit). The centred and the weighted design are
-    written into this thread's LIME buffers (see `_buffers`).
+    weighted R^2 of the fit). Z is the 0/1 design, bool or float. Its float
+    copy, the centred and the weighted design are written into this
+    thread's two float LIME buffers (see `_buffers`), so Z must not be
+    either of them.
     """
-    Z = np.asarray(Z, dtype=np.float64)
+    Z = np.asarray(Z)
     w = np.asarray(sample_weights, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if not (Z.shape[0] == w.shape[0] == y.shape[0]):
@@ -199,10 +210,11 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
     d = Z.shape[1]
     wn = w / w.mean()
     sw = wn / wn.sum()
-    z_bar = sw @ Z
+    _, Zc, ZcW = _buffers(*Z.shape)
+    np.copyto(Zc, Z)   # the design as floats, centred in place below
+    z_bar = sw @ Zc
     y_bar = float(sw @ y)
-    _, _, Zc, ZcW = _buffers(*Z.shape)
-    np.subtract(Z, z_bar, out=Zc)
+    np.subtract(Zc, z_bar, out=Zc)
     yc = y - y_bar
     ZcW_T = np.multiply(Zc, wn[:, None], out=ZcW).T
     A = ZcW_T @ Zc + ridge_lambda * np.eye(d)
@@ -211,7 +223,8 @@ def fit_surrogate(Z: np.ndarray, sample_weights: np.ndarray, targets: np.ndarray
         raise ValueError("rank-deficient design with lambda = 0")
     beta = np.linalg.solve(A, rhs)
     intercept = y_bar - float(z_bar @ beta)
-    residual = y - (Z @ beta + intercept)
+    np.copyto(ZcW, Z)   # the design as floats again, for the fitted values
+    residual = y - (ZcW @ beta + intercept)
     ss_res = float(wn @ np.square(residual))
     ss_tot = float(wn @ np.square(yc))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
@@ -255,18 +268,21 @@ def explain(predict_fn, instance: np.ndarray, X_train: np.ndarray,
     rng = np.random.default_rng(config.seed)
     edges = fit_discretizer(X_train, schema)
     stats = build_stats(X_train, edges)
-    Z, Zm, _, _ = _buffers(config.num_samples, d)
+    Z, Zm, Zf = _buffers(config.num_samples, d)
     sample_perturbations(instance, config.num_samples, stats, rng, out=(Z, Zm))
     width = config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
     # Euclidean distance to the all-ones instance row; Z is 0/1, so the sum of
-    # squared differences is the count of zeros, d - Z.sum(axis=1), exactly
-    distance = np.sqrt(d - Z.sum(axis=1))
+    # squared differences is the count of zeros, d minus the row sum. The row
+    # sums are exact as a float product of a 0/1 copy with ones, which is
+    # faster than Z.sum(axis=1) on bool or float.
+    np.copyto(Zf, Z)
+    distance = np.sqrt(d - Zf @ np.ones(d))
     weights = kernel_weight(distance, width)
     differs = distance > 0
     if differs.any() and not weights[differs].any():   # a weighted fit of the row alone
         raise ValueError(f"kernel_width {width!r} gives weight 0 to every perturbed "
                          f"sample that differs from the row")
-    targets = np.asarray(predict_fn(Zm), dtype=np.float64).ravel()   # row 0: the instance
+    targets = model_outputs(predict_fn, Zm)   # row 0: the instance
     coefs, intercept, r2 = fit_surrogate(Z, weights, targets, config.ridge_lambda)
     order = np.argsort(-np.abs(coefs), kind="stable")
     feature_weights = [(_descriptor(j, instance, edges[j], schema, scaler), float(coefs[j]))

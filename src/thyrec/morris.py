@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import thread_buffers
+from .neural import model_outputs, thread_buffers
 
 
 @dataclass
@@ -148,7 +148,7 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
     """
     r, n, d = trajectories.shape
     points = _buffers(r, n, d)[1]
-    values = _outputs(f, ranges.map_unit(trajectories.reshape(r * n, d), out=points))
+    values = model_outputs(f, ranges.map_unit(trajectories.reshape(r * n, d), out=points))
     values = values.reshape(r, n)
     # the one coordinate moved at each step, then the signed step it made
     moved = np.argmax(trajectories[:, 1:] != trajectories[:, :-1], axis=2)[..., None]
@@ -159,16 +159,6 @@ def elementary_effects(f, trajectories: np.ndarray, ranges: FeatureRanges,
                       axis=1)
     ee[:, ranges.degenerate] = 0.0
     return ee
-
-
-def _outputs(f, X: np.ndarray) -> np.ndarray:
-    """f(X) as a float64 vector with one finite value per row of X."""
-    out = np.asarray(f(X), dtype=np.float64).ravel()
-    if len(out) != len(X):
-        raise ValueError(f"model returned {len(out)} outputs for {len(X)} rows")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("model returned a non-finite output")
-    return out
 
 
 def aggregate(ee: np.ndarray, feature_names: list[str],

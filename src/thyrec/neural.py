@@ -36,23 +36,36 @@ VAL_FROM_TEST_AS_PAPER = "test-as-paper"
 # rows follow it.
 PREDICT_ROWS = 1024
 
-# Per-thread workspace: key -> that key's list of float64 buffers (see
+# Per-thread workspace: key -> that key's list of buffers (see
 # thread_buffers). Thread-local, so concurrent calls need no lock, and a
 # thread's buffers are freed when the thread ends.
 _workspace = threading.local()
 
 
-def thread_buffers(key, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """This thread's float64 buffers under `key`, one per shape in `shapes`:
-    allocated the first time the thread asks for `key`, reused while it asks
-    with the same shapes, and replaced when the shapes change. The next call
-    in the thread with the same key and shapes overwrites them, so nothing
-    returned to a caller may alias them."""
+def thread_buffers(key, shapes: list[tuple[int, ...]], dtype=np.float64) -> list[np.ndarray]:
+    """This thread's buffers under `key`, one per shape in `shapes`, all of
+    `dtype` (float64 unless given): allocated the first time the thread asks
+    for `key`, reused while it asks with the same shapes and dtype, and
+    replaced when either changes. The next call in the thread with the same
+    key, shapes and dtype overwrites them, so nothing returned to a caller
+    may alias them."""
     held = _workspace.__dict__.setdefault("buffers", {})
     buffers = held.get(key)
-    if buffers is None or [b.shape for b in buffers] != shapes:
-        buffers = held[key] = [np.empty(shape) for shape in shapes]
+    if (buffers is None or [b.shape for b in buffers] != shapes
+            or any(b.dtype != dtype for b in buffers)):
+        buffers = held[key] = [np.empty(shape, dtype=dtype) for shape in shapes]
     return buffers
+
+
+def model_outputs(f, X: np.ndarray) -> np.ndarray:
+    """f(X) as a float64 vector with one finite value per row of X, never
+    a view of X (whose buffer the caller may reuse)."""
+    out = np.asarray(f(X), dtype=np.float64).ravel()
+    if len(out) != len(X):
+        raise ValueError(f"model returned {len(out)} outputs for {len(X)} rows")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("model returned a non-finite output")
+    return out.copy() if np.may_share_memory(out, X) else out
 
 
 @dataclass

@@ -115,7 +115,7 @@ def whole_array_sampler(instance, n, stats, rng):
     rows, cols = rng.integers(0, len(stats.codes), size=(n - 1, d)), np.arange(d)
     match = np.vstack([np.ones(d, dtype=bool), stats.codes[rows, cols] == inst_codes])
     drawn = np.vstack([instance, stats.X_train[rows, cols]])
-    return match.astype(np.float64), np.where(match, instance, drawn)
+    return match, np.where(match, instance, drawn)
 
 
 def mixed_table(n_rows, d, seed):
@@ -153,10 +153,11 @@ class TestBlockedSampling:
         instance = X[7]
         want = whole_array_sampler(instance, n, stats, np.random.default_rng(n))
         fresh = sample_perturbations(instance, n, stats, np.random.default_rng(n))
-        out = (np.full((n, d), np.nan), np.full((n, d), np.nan))
+        out = (~want[0], np.full((n, d), np.nan))   # every cell wrong until written
         into = sample_perturbations(instance, n, stats, np.random.default_rng(n), out=out)
         assert into[0] is out[0] and into[1] is out[1]
         for got in (fresh, into):
+            assert [a.dtype for a in got] == [np.bool_, np.float64]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -328,6 +329,14 @@ class TestFitSurrogate:
         b = fit_surrogate(Z, 2.0 * w, y, ridge_lambda=1.0)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
+    def test_bool_design_fits_the_float_bits(self):
+        rng = np.random.default_rng(3)
+        Z = rng.integers(0, 2, size=(700, 5)).astype(bool)
+        y, w = rng.normal(size=700), rng.uniform(0.0, 1.0, size=700)
+        fits = [fit_surrogate(z, w, y, ridge_lambda=1.0) for z in (Z, Z.astype(float))]
+        assert fits[0][0].tobytes() == fits[1][0].tobytes()
+        assert fits[0][1:] == fits[1][1:]
+
     def test_singular_without_ridge(self):
         Z = np.column_stack([np.ones(20), np.ones(20)])   # duplicated column
         with pytest.raises(ValueError, match="rank-deficient design with lambda = 0"):
@@ -446,18 +455,41 @@ class TestExplain:
 
     def test_calls_model_once(self):
         """P(class=1) is the model's output on row 0 of the perturbation
-        batch, which is the instance itself."""
+        batch, which is the instance itself. The model scores every sample in
+        one call, also past one sampling block: blocks scored apart would
+        score the instance row alone and move the last bits of P(class=1)."""
         X = np.random.default_rng(9).normal(size=(100, 3))
-        calls = []
-
-        def model(Z):
-            calls.append(len(Z))
-            return sigmoid_3x1_minus_2x2(Z)
-
-        exp = explain(model, X[4], X, LimeConfig(num_samples=300, seed=0))
-        assert calls == [300]
         p1 = sigmoid_3x1_minus_2x2(X[4][None, :])[0]
-        assert exp.class_probabilities == (1.0 - p1, p1)
+        for num_samples in (300, 5000):
+            calls = []
+
+            def model(Z):
+                calls.append(len(Z))
+                return sigmoid_3x1_minus_2x2(Z)
+
+            exp = explain(model, X[4], X, LimeConfig(num_samples=num_samples, seed=0))
+            assert calls == [num_samples]
+            assert exp.class_probabilities == (1.0 - p1, p1)
+
+    @pytest.mark.parametrize("model, message", [
+        (lambda Z: np.where(np.arange(len(Z)) == 7, np.nan, 0.5), "non-finite output"),
+        (lambda Z: np.full(len(Z), np.inf), "non-finite output"),
+        (lambda Z: np.full(len(Z) - 1, 0.5), "returned 299 outputs for 300 rows"),
+        (lambda Z: np.full((len(Z), 2), 0.5), "returned 600 outputs for 300 rows"),
+    ])
+    def test_refuses_bad_model_outputs(self, model, message):
+        X = np.random.default_rng(9).normal(size=(100, 3))
+        with pytest.raises(ValueError, match=message):
+            explain(model, X[4], X, LimeConfig(num_samples=300, seed=0))
+
+    def test_model_output_viewing_its_input(self):
+        """A black box may return a view of the samples it scores; the
+        samples' buffer then holds the centred design, and the targets
+        must not follow it."""
+        X = np.random.default_rng(9).normal(size=(100, 1))
+        view, copy = (explain(model, X[4], X, LimeConfig(num_samples=300, seed=0))
+                      for model in (lambda Z: Z[:, 0], lambda Z: Z[:, 0].copy()))
+        assert repr(view) == repr(copy)
 
     def test_descriptors_use_schema_names(self):
         rng = np.random.default_rng(6)
@@ -517,7 +549,8 @@ class TestThreadBuffers:
     def test_warm_explain_allocates_no_sample_arrays(self):
         f, X = self.model(), np.random.default_rng(0).normal(size=(300, 16))
         peak = self.warm_peak(lambda: explain(f, X[0], X, LimeConfig(seed=1)))
-        # fresh (5000, 16) samples and designs took ~2.9 MB; the buffers ~0.37 MB
+        # a first explain, which allocates the (5000, 16) buffers, peaks at
+        # ~1.7 MB (~2.9 MB when they were four float arrays); a warm one ~0.37 MB
         assert peak < 1_000_000
 
     def test_warm_analyze_allocates_no_trajectory_arrays(self):
@@ -543,6 +576,25 @@ class TestThreadBuffers:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert shapes == [[(30, 17, 16), (30 * 17, 16)], [(12, 17, 16), (12 * 17, 16)]]
+
+    def test_lime_keeps_two_float_and_one_bool_sample_array(self):
+        """An explanation leaves its thread the bool interpretable samples and
+        two float (n, d) arrays, 2 * n * d * 8 + n * d bytes, and one of
+        another sample count replaces them."""
+        f, X = self.model(), np.random.default_rng(0).normal(size=(100, 16))
+        held = []
+
+        def explains():
+            for n in (3000, 1200):
+                explain(f, X[0], X, LimeConfig(num_samples=n, seed=1))
+                held.append(sum(b.nbytes for key, bufs in neural._workspace.buffers.items()
+                                if str(key).startswith("lime") for b in bufs))
+
+        thread = threading.Thread(target=explains)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert held == [2 * n * 16 * 8 + n * 16 for n in (3000, 1200)]
 
     def test_result_unchanged_by_later_call(self):
         f, X = self.model(), np.random.default_rng(1).normal(size=(120, 16))
