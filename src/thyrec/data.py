@@ -30,6 +30,7 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class Feature:
+    """One input column: its name, its kind and, if categorical, its categories."""
     name: str
     kind: str                      # NUMERIC or CATEGORICAL
     vocab: tuple[str, ...] = ()    # sorted categories; empty for numeric
@@ -50,6 +51,7 @@ class Feature:
 
 @dataclass(frozen=True)
 class FeatureSchema:
+    """The feature columns in file order, then the binary target and its two classes."""
     features: tuple[Feature, ...]
     target_name: str
     target_vocab: tuple[str, str]  # (negative, positive), sorted
@@ -82,37 +84,34 @@ class Column:
         return len(self.codes)
 
 
-@dataclass
 class Dataset:
-    header: list[str]
-    rows: tuple[Column, ...]   # the feature columns, at least one, without the target
-    targets: Column            # target cells, one per row
+    def __init__(self, header: list[str], rows: tuple[Column, ...], targets: Column):
+        self.header = header
+        self.rows = rows           # the feature columns, at least one, without the target
+        self.targets = targets     # target cells, one per row
 
     def __len__(self) -> int:
         return len(self.targets)
 
 
-@dataclass
 class EncodedDataset:
-    X: np.ndarray          # (n, d) float64
-    y: np.ndarray          # (n,) int64 in {0, 1}
-    schema: FeatureSchema
+    def __init__(self, X: np.ndarray, y: np.ndarray, schema: FeatureSchema):
+        self.X = X             # (n, d) float64
+        self.y = y             # (n,) int64 in {0, 1}
+        self.schema = schema
 
 
-@dataclass
 class Scaler:
-    means: np.ndarray
-    stds: np.ndarray       # strictly positive; constant columns store 1.0
-
-    def __post_init__(self):
-        if not np.all(self.stds > 0):
+    def __init__(self, means: np.ndarray, stds: np.ndarray):
+        if not np.all(stds > 0):
             raise ValueError("scaler stds must be > 0")
+        self.means = means
+        self.stds = stds       # strictly positive; constant columns store 1.0
 
 
-@dataclass
 class SplitIndices:
-    train: np.ndarray
-    test: np.ndarray
+    def __init__(self, train: np.ndarray, test: np.ndarray):
+        self.train, self.test = train, test
 
 
 def _numbers(cells) -> np.ndarray | None:

@@ -34,6 +34,7 @@ from .neural import PREDICT_ROWS, model_outputs, thread_buffers
 
 @dataclass
 class LimeConfig:
+    """How `explain` samples, weighs and fits its local surrogate."""
     num_samples: int = 5000
     kernel_width: float | None = None   # default 0.75 * sqrt(d), set at explain time
     num_features: int = 10
@@ -64,15 +65,16 @@ def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):
     return np.searchsorted(edges, values, side="left")
 
 
-@dataclass
 class PerturbationStats:
-    edges: list[np.ndarray | None]   # from fit_discretizer
-    X_train: np.ndarray              # (n, d) training rows, model space
-    codes: np.ndarray                # (n, d) float64 bin code of every training cell
+    def __init__(self, edges: list[np.ndarray | None], X_train: np.ndarray, codes: np.ndarray):
+        self.edges = edges         # from fit_discretizer
+        self.X_train = X_train     # (n, d) training rows, model space
+        self.codes = codes         # (n, d) float64 bin code of every training cell
 
 
 @dataclass
 class Explanation:
+    """One row's explanation: its class probabilities and the surrogate's weights and fit."""
     instance_index: int
     class_probabilities: tuple[float, float]
     feature_weights: list[tuple[str, float]]   # sorted by |weight| descending

@@ -14,6 +14,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
+    """Counts of true and false positives and negatives, class 1 positive."""
     tp: int
     fp: int
     tn: int
@@ -30,6 +31,7 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """The clinical metric suite; None where a metric's denominator is zero."""
     accuracy: float | None
     sensitivity: float | None
     specificity: float | None

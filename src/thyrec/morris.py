@@ -19,6 +19,7 @@ shape (about 0.43 MB at 100 trajectories of 16 features).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .neural import model_outputs, thread_buffers
 
 @dataclass
 class MorrisConfig:
+    """The grid's levels, the number of trajectories and the seed of a screen."""
     levels: int = 4
     trajectories: int = 100
     seed: int = 0
@@ -35,6 +37,8 @@ class MorrisConfig:
     def __post_init__(self):
         if self.levels < 2 or self.levels % 2 != 0:
             raise ValueError("levels must be even and >= 2")
+        if self.levels > sys.float_info.max:    # effective_delta divides it as a float
+            raise ValueError("levels is too large for a float")
         if self.trajectories < 2:
             raise ValueError("need at least 2 trajectories")
         if self.seed < 0:
@@ -48,12 +52,11 @@ class MorrisConfig:
         return self.levels / (2.0 * (self.levels - 1))
 
 
-@dataclass
 class FeatureRanges:
     """Observed per-feature (lo, hi) bounds; features with hi - lo below
     1e-12 are flagged degenerate and probed at the constant lo."""
-    lo: np.ndarray
-    hi: np.ndarray
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -66,14 +69,13 @@ class FeatureRanges:
         return np.add(self.lo, X, out=X)
 
 
-@dataclass
 class MorrisResult:
-    feature_names: list[str]
-    mu: np.ndarray
-    mu_star: np.ndarray
-    sigma: np.ndarray
-    trajectories: int
-    degenerate: np.ndarray    # per feature: screened at a constant, EE = 0
+    def __init__(self, feature_names: list[str], mu: np.ndarray, mu_star: np.ndarray,
+                 sigma: np.ndarray, trajectories: int, degenerate: np.ndarray):
+        self.feature_names = feature_names
+        self.mu, self.mu_star, self.sigma = mu, mu_star, sigma
+        self.trajectories = trajectories
+        self.degenerate = degenerate    # per feature: screened at a constant, EE = 0
 
     @property
     def ranking(self) -> list[str]:

@@ -68,10 +68,10 @@ def model_outputs(f, X: np.ndarray) -> np.ndarray:
     return out.copy() if np.may_share_memory(out, X) else out
 
 
-@dataclass
 class Layer:
-    W: np.ndarray          # (d_in, d_out)
-    b: np.ndarray          # (d_out,)
+    def __init__(self, W: np.ndarray, b: np.ndarray):
+        self.W = W             # (d_in, d_out)
+        self.b = b             # (d_out,)
 
 
 def _param_layout(layers: list[Layer]) -> tuple[tuple[slice, tuple[int, ...]], ...]:
@@ -90,23 +90,19 @@ def _param_views(flat: np.ndarray, layout: tuple) -> list[np.ndarray]:
     return [flat[where].reshape(shape) for where, shape in layout]
 
 
-@dataclass
 class MLP:
-    layers: list[Layer]            # ReLU hidden layers, then the sigmoid output
-    dropout_rates: list[float]     # one rate per hidden layer
-    flat: np.ndarray = field(init=False, repr=False, compare=False)   # every W and b
-    layout: tuple = field(init=False, repr=False, compare=False)      # _param_layout
-
-    def __post_init__(self):
-        if len(self.dropout_rates) != len(self.layers) - 1:
-            raise ValueError(f"{len(self.dropout_rates)} dropout rates for "
-                             f"{len(self.layers) - 1} hidden layers")
-        if not all(0.0 <= rate < 1.0 for rate in self.dropout_rates):
-            raise ValueError(f"dropout rates must be in [0, 1), got {self.dropout_rates}")
-        if self.layers[-1].W.shape[1] != 1:
+    def __init__(self, layers: list[Layer], dropout_rates: list[float]):
+        if len(dropout_rates) != len(layers) - 1:
+            raise ValueError(f"{len(dropout_rates)} dropout rates for "
+                             f"{len(layers) - 1} hidden layers")
+        if not all(0.0 <= rate < 1.0 for rate in dropout_rates):
+            raise ValueError(f"dropout rates must be in [0, 1), got {dropout_rates}")
+        if layers[-1].W.shape[1] != 1:
             raise ValueError("last layer must have exactly one output unit")
+        self.layers = layers                  # ReLU hidden layers, then the sigmoid output
+        self.dropout_rates = dropout_rates    # one rate per hidden layer
         self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
-        self.layout = _param_layout(self.layers)
+        self.layout = _param_layout(layers)   # where each W and b sits in flat
         views = _param_views(self.flat, self.layout)
         for layer, W, b in zip(self.layers, views[::2], views[1::2]):
             layer.W, layer.b = W, b
@@ -122,6 +118,7 @@ class MLP:
 
 @dataclass
 class TrainConfig:
+    """How `train` runs: Adam's settings, epochs, batches, dropout, monitoring rows, seed."""
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -154,11 +151,11 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
 class AdamState:
-    m: np.ndarray          # first moment, shaped like the parameter vector
-    v: np.ndarray          # second moment, likewise
-    t: int = 0
+    def __init__(self, m: np.ndarray, v: np.ndarray, t: int = 0):
+        self.m = m             # first moment, shaped like the parameter vector
+        self.v = v             # second moment, likewise
+        self.t = t
 
 
 @dataclass
@@ -182,13 +179,14 @@ class TrainHistory:
                          self.val_loss, self.val_accuracy)))
 
 
-@dataclass
 class ForwardPass:
     """Cache of one forward pass, consumed by backward(). It holds only each
     layer's input: > 0 exactly where the previous ReLU was active and kept."""
-    inputs: list[np.ndarray]          # input fed to each layer
-    masks: list[np.ndarray | None]    # inverted-dropout mask per hidden layer
-    probs: np.ndarray                 # (n,) sigmoid outputs
+    def __init__(self, inputs: list[np.ndarray], masks: list[np.ndarray | None],
+                 probs: np.ndarray):
+        self.inputs = inputs   # input fed to each layer
+        self.masks = masks     # inverted-dropout mask per hidden layer
+        self.probs = probs     # (n,) sigmoid outputs
 
 
 def init_mlp(d_in: int, hidden: list[int], seed: int, dropout: float = 0.5) -> MLP:

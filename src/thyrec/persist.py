@@ -41,6 +41,7 @@ class ArtifactError(Exception):
 
 @dataclass
 class SplitInfo:
+    """How the train/test split was drawn, and the digest of the indices it drew."""
     seed: int
     ratio: float
     stratified: bool
@@ -60,14 +61,14 @@ class SplitInfo:
         return cls(seed, ratio, stratified, split_digest(idx)), idx
 
 
-@dataclass
 class ModelArtifact:
-    schema: FeatureSchema
-    scaler: Scaler
-    mlp: MLP
-    train_config: TrainConfig
-    final_metrics: dict[str, ConfusionMatrix]   # counts under "train" and "test"
-    split: SplitInfo
+    def __init__(self, schema: FeatureSchema, scaler: Scaler, mlp: MLP,
+                 train_config: TrainConfig, final_metrics: dict[str, ConfusionMatrix],
+                 split: SplitInfo):
+        self.schema, self.scaler, self.mlp = schema, scaler, mlp
+        self.train_config = train_config
+        self.final_metrics = final_metrics   # counts under "train" and "test"
+        self.split = split
 
     def recover_split(self, y: np.ndarray) -> SplitIndices:
         """The recorded split, redrawn from the labels y of the same table.
@@ -145,7 +146,10 @@ def _matches(value, hint) -> bool:
     if get_origin(hint) is types.UnionType:
         return any(_matches(value, h) for h in get_args(hint))
     if hint is float:
-        return type(value) in (int, float) and math.isfinite(value)
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:      # an int too large for a float is no finite float
+            return False
     return type(value) is hint
 
 
@@ -176,8 +180,12 @@ def _array(d: dict, key: str, context: str) -> np.ndarray:
     values = _get(d, key, context, list)
     if not {type(v) for v in values} <= {int, float}:
         raise ArtifactError(f"{context}.{key} must hold numbers only")
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    try:
+        values = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(values).all()
+    except OverflowError:          # an int too large for a float is not finite either
+        finite = False
+    if not finite:
         raise ArtifactError(f"{context}.{key} holds a non-finite value")
     return values
 

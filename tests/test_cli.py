@@ -1,11 +1,13 @@
 import csv
 import gc
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -186,11 +188,16 @@ class TestEvaluate:
         (("layers",), empty_first_hidden),
         (("split", "seed"), -1),
         (("schema", "target_name"), "Age"),
+        # JSON integers are unbounded, and one too large for a float is no finite number
+        (("train_config", "learning_rate"), 10 ** 400),
+        (("scaler", "means", 0), 10 ** 400),
+        (("final_metrics", "test", "metrics", "accuracy"), 10 ** 400),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
             "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
             "negative-count", "two-outputs", "no-outputs", "hidden-width-0",
-            "split-seed-negative", "target-name-is-feature"])
+            "split-seed-negative", "target-name-is-feature", "learning-rate-int-too-large",
+            "scaler-mean-int-too-large", "metric-int-too-large"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -461,6 +468,16 @@ class TestSensitivity:
                 assert f["mu"] == f["mu_star"] == f["sigma"] == 0.0
             else:
                 assert f["mu_star"] > 0.0
+
+    def test_levels_too_large_for_a_float_exits_2(self, small_csv, tmp_path, capsys):
+        """The grid step divides levels as a float, so MorrisConfig refuses a
+        count that has none before anything is screened."""
+        model = run_train(small_csv, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["sensitivity", "--model", str(model), "--data", small_csv,
+                     "--levels", "1" + "0" * 400, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: levels is too large for a float"]
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_bytes(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")
@@ -778,6 +795,30 @@ class TestProcessEntry:
                    for side in ("process", "main")]
         assert len(written[0]) == 9
         assert written[0] == written[1]
+
+
+VALUE_RECORDS = {"data.Feature", "data.FeatureSchema", "metrics.ConfusionMatrix",
+                 "metrics.MetricsReport", "neural.TrainConfig", "neural.TrainHistory",
+                 "lime.LimeConfig", "lime.Explanation", "morris.MorrisConfig",
+                 "persist.SplitInfo"}
+
+
+def test_only_value_records_are_dataclasses():
+    """Every fresh process pays for the code each @dataclass generates, so
+    only records that use it (frozen, eq, asdict, fields, class-level
+    defaults) are dataclasses; the records that hold arrays are plain
+    classes. Each dataclass has a docstring of its own, so decoration does
+    not build one from its signature."""
+    modules = [importlib.import_module(f"thyrec.{m.name}")
+               for m in pkgutil.iter_modules(thyrec.__path__)]
+    classes = {f"{module.__name__.removeprefix('thyrec.')}.{cls.__name__}": cls
+               for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__}
+    assert "neural.MLP" in classes and "data.Column" in classes
+    records = {name for name, cls in classes.items() if is_dataclass(cls)}
+    assert records == VALUE_RECORDS
+    assert [name for name in sorted(records)
+            if classes[name].__doc__.startswith(classes[name].__name__ + "(")] == []
 
 
 class TestUsage:
