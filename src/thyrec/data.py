@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 BLOCK_ROWS = 4096     # lines cut into cells per block: bounds the cells held at once
+CHUNK_CHARS = 1 << 18  # text read at once by load_csv
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
@@ -196,13 +198,14 @@ def load_csv(path: str) -> Dataset:
     A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
-    Lines are read in blocks of BLOCK_ROWS and cut into cells with
-    `str.split`, which on text without a '"' or a bare carriage return is
-    exactly what csv's excel dialect yields; from the first block holding
-    either (or a line longer than csv's field size limit), `csv.reader`
-    reads on. Both feed one dictionary coder, so each distinct value is
-    stored once, every cell is one int32 code, and schema inference and
-    encoding work on the distinct values only.
+    The text is read in chunks of CHUNK_CHARS cut after a line end, and its
+    lines are cut into cells with `str.split` in blocks of BLOCK_ROWS, which
+    on text without a '"' or a bare carriage return is exactly what csv's
+    excel dialect yields; from the first block holding either (or a line
+    longer than csv's field size limit), `csv.reader` reads on. Both feed
+    one dictionary coder, so each distinct value is stored once, every cell
+    is one int32 code, and schema inference and encoding work on the
+    distinct values only.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -229,33 +232,67 @@ def load_csv(path: str) -> Dataset:
     return Dataset(header=header, rows=tuple(columns[:-1]), targets=columns[-1])
 
 
+def _needs_csv(text: str, longest: int) -> bool:
+    """Whether text holds a '"' or a bare carriage return, or its longest
+    line is longer than csv's field size limit: text that `str.split`
+    would cut otherwise than csv's excel dialect."""
+    return '"' in text or "\r" in text and text.count("\r") != text.count("\r\n") \
+        or longest > csv.field_size_limit()
+
+
 def _split_blocks(fh, k: int) -> Iterator[list[str]]:
     """The cells of fh's remaining records, k per record, row by row, in
-    blocks of up to BLOCK_ROWS lines; each line is cut at its commas. From
-    the first block holding a '"', a bare carriage return or a line longer
-    than csv's field size limit on, `_csv_blocks` reads instead."""
-    row = 0
-    while block := list(islice(fh, BLOCK_ROWS)):
-        text = "".join(block)
-        crlf = "\r" in text
-        if '"' in text or crlf and text.count("\r") != text.count("\r\n") \
-                or max(map(len, block)) > csv.field_size_limit():
-            yield from _csv_blocks(fh, k, row, block)
-            return
-        lines = (text.replace("\r\n", "\n") if crlf else text).split("\n")
-        if not lines[-1]:
-            lines.pop()             # what follows the last line end
-        if "" in lines:
-            lines = list(filter(None, lines))
-        _check_commas(fh, row, list(map(str.count, lines, repeat(","))), k)
-        if lines:
-            yield ",".join(lines).split(",")
-        row += len(lines)
+    blocks of up to BLOCK_ROWS lines; each line is cut at its commas.
+
+    The text is read CHUNK_CHARS at a time and cut after its last line end;
+    a chunk without one is followed by one twice its size. From the first
+    block that `_needs_csv`, `_csv_blocks` reads the text on from that
+    block's start. The line still being read counts too, so a file without
+    line feeds is never held whole."""
+    row, lines, tail, start, size = 0, [], "", 0, CHUNK_CHARS
+    while True:
+        chunk = fh.read(size)
+        *ended, tail = (tail + chunk).split("\n")
+        size = CHUNK_CHARS if ended else 2 * size
+        del lines[:start]
+        lines += ended
+        start = 0
+        if not chunk and tail:
+            lines.append(tail)          # the last line, which has no line end
+        while len(lines) - start >= BLOCK_ROWS or not chunk and start < len(lines):
+            block = lines[start:start + BLOCK_ROWS]
+            text = "\n".join(block) + "\n"
+            if _needs_csv(text, max(map(len, block))):
+                break
+            if "\r" in text:
+                block = text.replace("\r\n", "\n").split("\n")
+                block.pop()             # what follows the last line end
+            if "" in block:
+                block = list(filter(None, block))
+            _check_commas(fh, row, list(map(str.count, block, repeat(","))), k)
+            if block:
+                yield ",".join(block).split(",")
+            row += len(block)
+            start += BLOCK_ROWS
+        else:
+            if not chunk:
+                return
+            # the line read so far belongs to the next block; a '\r' at
+            # its end may be the first half of a CRLF
+            if not _needs_csv(tail[:-1], len(tail)):
+                continue
+        rest = "\n".join(lines[start:])
+        if chunk:
+            rest += "\n" + tail + fh.readline()       # on to the next line end
+        elif not tail:
+            rest += "\n"
+        yield from _csv_blocks(fh, k, row, io.StringIO(rest, newline=""))
+        return
 
 
 def _csv_blocks(fh, k: int, row: int = 0, pending: Iterable[str] = ()) -> Iterator[list[str]]:
-    """As `_split_blocks`, through csv.reader: the pending lines, then fh's
-    remaining ones, records numbered from row."""
+    """As `_split_blocks`, through csv.reader: the pending lines, which end
+    at a line end, then fh's remaining ones, records numbered from row."""
     reader = csv.reader(chain(pending, fh))
     while block := list(islice(reader, BLOCK_ROWS)):
         records = list(filter(None, block))
@@ -364,8 +401,10 @@ def stratified_split(y: np.ndarray, ratio: float, seed: int) -> SplitIndices:
 def split_digest(indices: SplitIndices) -> str:
     """Stable digest of a split, stored in model artifacts so downstream
     commands can verify they reconstructed the same partition."""
-    text = ("train:" + ",".join(map(str, indices.train.tolist()))
-            + ";test:" + ",".join(map(str, indices.test.tolist())))
+    def listed(part: np.ndarray) -> str:     # "1,2,3": str(list) is "[1, 2, 3]"
+        return str(part.tolist())[1:-1].replace(", ", ",")
+
+    text = "train:" + listed(indices.train) + ";test:" + listed(indices.test)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

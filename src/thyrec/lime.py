@@ -8,8 +8,9 @@ perturbations yields per-feature contribution weights.
 
 Each perturbed cell is a training value drawn uniformly and independently,
 so perturbed rows lie on the training manifold; a draw in the instance's
-bin keeps the instance's value. Row 0 is the instance itself, and the
-model's output on it is the reported P(class=1).
+bin keeps the instance's value. Only drawn cells are binned, so the cost of
+sampling does not grow with the training rows. Row 0 is the instance
+itself, and the model's output on it is the reported P(class=1).
 
 An explanation's (num_samples, d) arrays live in per-thread buffers from
 `neural.thread_buffers`, reused by the thread's next explanation of the same
@@ -44,6 +45,8 @@ class LimeConfig:
     def __post_init__(self):
         if self.num_samples < 10:
             raise ValueError("num_samples must be >= 10")
+        if self.num_samples >= 2**63:    # numpy sizes an array in int64
+            raise ValueError("num_samples must be < 2**63")
         width = self.kernel_width   # exp(-d^2 / width^2) needs 0 < width^2 < inf
         if width is not None and not (0.0 < width and 0.0 < width * width < math.inf):
             raise ValueError(f"kernel_width must be > 0 and square to a finite number "
@@ -66,10 +69,11 @@ def bin_codes(edges: np.ndarray | None, values: np.ndarray | float):
 
 
 class PerturbationStats:
-    def __init__(self, edges: list[np.ndarray | None], X_train: np.ndarray, codes: np.ndarray):
+    """What perturbations are drawn from: the training rows, and the bin
+    edges that say which drawn values fall in the instance's bin."""
+    def __init__(self, edges: list[np.ndarray | None], X_train: np.ndarray):
         self.edges = edges         # from fit_discretizer
         self.X_train = X_train     # (n, d) training rows, model space
-        self.codes = codes         # (n, d) float64 bin code of every training cell
 
 
 @dataclass
@@ -118,14 +122,9 @@ def fit_discretizer(X_train: np.ndarray,
 
 
 def build_stats(X_train: np.ndarray, edges: list[np.ndarray | None]) -> PerturbationStats:
-    """The training rows and the bin code of each of their cells, from which
-    perturbations are drawn. Codes are float64 whatever the feature kinds, so
-    the sampler gathers them straight into its float64 output."""
-    X_train = np.asarray(X_train, dtype=np.float64)
-    codes = np.empty(X_train.shape)
-    for j, (e, col) in enumerate(zip(edges, X_train.T)):
-        codes[:, j] = bin_codes(e, col)
-    return PerturbationStats(edges=edges, X_train=X_train, codes=codes)
+    """The training rows as float64, with their edges. No per-cell table is
+    built: the sampler bins only the training values it draws."""
+    return PerturbationStats(edges=edges, X_train=np.asarray(X_train, dtype=np.float64))
 
 
 def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
@@ -143,30 +142,32 @@ def sample_perturbations(instance: np.ndarray, n: int, stats: PerturbationStats,
 
     The training rows are one (n - 1, d) stream of rng.integers, drawn in
     blocks of PREDICT_ROWS rows (the same numbers as one whole draw); each
-    block becomes flat indices into the (n_train, d) tables in place and is
-    gathered with np.take. `out`, C-contiguous (n, d) arrays of bool and
-    float64, receives (Z, Z_model) and is returned; without it they are
-    fresh.
+    block becomes flat indices into the (n_train, d) training rows in place,
+    and one np.take gathers the drawn values. A categorical cell's bin code
+    is its value, so it is compared with the instance's value; only the
+    numeric columns are binned, with `bin_codes`. `out`, C-contiguous (n, d)
+    arrays of bool and float64, receives (Z, Z_model) and is returned;
+    without it they are fresh.
     """
     if n < 2:
         raise ValueError("need n >= 2 perturbations")
     instance = np.asarray(instance, dtype=np.float64).ravel()
     d = instance.shape[0]
-    inst_codes = np.array([bin_codes(e, v) for e, v in zip(stats.edges, instance)],
-                          dtype=np.float64)
+    numeric = [(j, e, bin_codes(e, instance[j])) for j, e in enumerate(stats.edges)
+               if e is not None]
     Z, Zm = (np.empty((n, d), dtype=bool), np.empty((n, d))) if out is None else out
     Z[0], Zm[0] = True, instance
     cols = np.arange(d)
     for lo in range(1, n, PREDICT_ROWS):
         z, zm = Z[lo:lo + PREDICT_ROWS], Zm[lo:lo + PREDICT_ROWS]
-        flat = rng.integers(0, len(stats.codes), size=z.shape)
+        flat = rng.integers(0, len(stats.X_train), size=z.shape)
         flat *= d
         flat += cols
-        # the codes pass through zm on their way to z; every index is in
-        # range, and mode "raise" would copy through a temporary out
-        np.take(stats.codes, flat, out=zm, mode="clip")
-        np.equal(zm, inst_codes, out=z)
+        # every index is in range, and mode "raise" would copy through a temporary out
         np.take(stats.X_train, flat, out=zm, mode="clip")
+        np.equal(zm, instance, out=z)    # right for the categorical columns
+        for j, e, code in numeric:
+            np.equal(bin_codes(e, zm[:, j]), code, out=z[:, j])
         np.copyto(zm, instance, where=z)
     return Z, Zm
 

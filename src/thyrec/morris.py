@@ -39,6 +39,9 @@ class MorrisConfig:
             raise ValueError("levels must be even and >= 2")
         if self.levels > sys.float_info.max:    # effective_delta divides it as a float
             raise ValueError("levels is too large for a float")
+        for name in ("levels", "trajectories"):   # numpy sizes an array in int64
+            if getattr(self, name) >= 2**63:
+                raise ValueError(f"{name} must be < 2**63")
         if self.trajectories < 2:
             raise ValueError("need at least 2 trajectories")
         if self.seed < 0:

@@ -518,6 +518,24 @@ def test_size_flag_too_large_to_allocate_exits_2(small_csv, tmp_path, capsys, ar
     assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("argv, name", [(["explain", "--index", "0", "--num-samples"],
+                                          "num_samples"),
+                                         (["sensitivity", "--trajectories"], "trajectories"),
+                                         (["sensitivity", "--levels"], "levels")],
+                         ids=["explain-num-samples", "sensitivity-trajectories",
+                              "sensitivity-levels"])
+def test_size_flag_of_2_63_exits_2_naming_it(small_csv, tmp_path, capsys, argv, name):
+    """numpy sizes arrays in int64, and its refusals of 2**63 ("Maximum
+    allowed dimension exceeded", or "high <= 0" for an empty grid) name
+    neither the flag nor the value, so each config refuses it first."""
+    model = run_train(small_csv, tmp_path / "run")
+    capsys.readouterr()
+    assert main([*argv, str(2**63), "--model", str(model), "--data", small_csv,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be < 2**63"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["train"], ["explain", "--index", "0"], ["sensitivity"]],
                          ids=["train", "explain", "sensitivity"])
 def test_negative_seed_exits_2_naming_it(small_csv, tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import re
 import tracemalloc
@@ -8,10 +9,10 @@ import pytest
 
 from synth import write_csv
 from thyrec import data
-from thyrec.data import (BLOCK_ROWS, CATEGORICAL, NUMERIC, DataError, Feature,
-                         FeatureSchema, _numbers, apply_scaler, decode_category,
-                         encode_with_schema, fit_scaler, label_encode, load_csv, split,
-                         split_digest, stratified_split)
+from thyrec.data import (BLOCK_ROWS, CATEGORICAL, CHUNK_CHARS, NUMERIC, DataError, Feature,
+                         FeatureSchema, SplitIndices, _numbers, apply_scaler,
+                         decode_category, encode_with_schema, fit_scaler, label_encode,
+                         load_csv, split, split_digest, stratified_split)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -171,9 +172,15 @@ def load_outcome(path, schema):
             enc.y.tobytes())
 
 
+# read sizes for load_csv: cuts inside lines, inside quoted fields and
+# between a carriage return and its line feed, and the default
+READ_CHUNKS = (1, 5, 64, CHUNK_CHARS)
+
+
 class TestTokenizers:
     """The str.split tokenizer against csv.reader on the same file: the same
-    header, cells, schema, X and y bytes, or the same error and message."""
+    header, cells, schema, X and y bytes, or the same error and message,
+    whatever the size of the chunks the text is read in."""
 
     @pytest.mark.parametrize("block_rows", [3, BLOCK_ROWS])
     @pytest.mark.parametrize("name", CORPUS)
@@ -182,19 +189,25 @@ class TestTokenizers:
         path.write_bytes(CORPUS[name].encode())
         schema = SCHEMA if name in WITH_SCHEMA else None
         monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
-        got = load_outcome(path, schema)
-        monkeypatch.setattr(data, "_split_blocks", data._csv_blocks)
-        assert got == load_outcome(path, schema)
+        with monkeypatch.context() as m:
+            m.setattr(data, "_split_blocks", data._csv_blocks)
+            want = load_outcome(path, schema)
+        for chunk_chars in READ_CHUNKS:
+            monkeypatch.setattr(data, "CHUNK_CHARS", chunk_chars)
+            assert load_outcome(path, schema) == want, chunk_chars
 
     @pytest.mark.parametrize("name", ["lf-no-final-newline", "crlf", "crlf-no-final-newline",
                                       "bare-cr", "byte-order-mark", "blank-lines",
                                       "blank-lines-crlf"])
-    def test_line_ends_marks_and_blank_lines_read_alike(self, tmp_path, name):
+    def test_line_ends_marks_and_blank_lines_read_alike(self, tmp_path, monkeypatch, name):
         path = tmp_path / "t.csv"
         path.write_bytes(CORPUS[name].encode())
         want = tmp_path / "want.csv"
         want.write_bytes(CORPUS["lf"].encode())
-        assert load_outcome(path, None) == load_outcome(want, None)
+        want = load_outcome(want, None)
+        for chunk_chars in READ_CHUNKS:
+            monkeypatch.setattr(data, "CHUNK_CHARS", chunk_chars)
+            assert load_outcome(path, None) == want, chunk_chars
 
     @pytest.mark.parametrize("name", ["lf", "crlf-no-final-newline", "blank-lines",
                                       "ragged-second-block", "empty-cell"])
@@ -207,7 +220,9 @@ class TestTokenizers:
             raise AssertionError("csv.reader used")
         monkeypatch.setattr(data, "_csv_blocks", refuse)
         monkeypatch.setattr(data, "BLOCK_ROWS", 3)
-        assert load_outcome(path, None) == want
+        for chunk_chars in READ_CHUNKS:
+            monkeypatch.setattr(data, "CHUNK_CHARS", chunk_chars)
+            assert load_outcome(path, None) == want, chunk_chars
 
     @pytest.mark.parametrize("name, message", [
         ("ragged-first-line", "line 2: expected 3 cells, got 2"),
@@ -235,7 +250,9 @@ class TestTokenizers:
         schema = SCHEMA if name in WITH_SCHEMA else None
         for block_rows in (3, BLOCK_ROWS):
             monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
-            assert load_outcome(path, schema) == (DataError, message)
+            for chunk_chars in READ_CHUNKS:
+                monkeypatch.setattr(data, "CHUNK_CHARS", chunk_chars)
+                assert load_outcome(path, schema) == (DataError, message), chunk_chars
 
 
 def plain_parse(path) -> tuple[list[str], list[list[str]], list[str]]:
@@ -285,6 +302,8 @@ class TestOneStringPerValue:
     def test_encodings_match_a_plain_parse(self, tmp_path, n):
         path = tmp_path / "t.csv"
         write_csv(path, n=n, seed=n)
+        if n == 2 * BLOCK_ROWS + 700:   # blocks that straddle read chunks, 3 or more
+            assert path.stat().st_size > 3 * CHUNK_CHARS
         ds, plain = load_csv(str(path)), plain_parse(path)
         assert (ds.header, row_lists(ds), cells(ds.targets)) == plain
         got = label_encode(ds)
@@ -432,6 +451,19 @@ class TestSplit:
     def test_digest_stable(self):
         assert split_digest(split(20, 0.8, 1)) == split_digest(split(20, 0.8, 1))
         assert split_digest(split(20, 0.8, 1)) != split_digest(split(20, 0.8, 2))
+
+    @pytest.mark.parametrize("train, test", [
+        ([0], [1]), ([], [3]), ([5, 0, 12], []), ([], []),
+        (list(range(10, -1, -1)), [11]),
+        (np.random.default_rng(5).permutation(38_300)[:30_640], range(7, 100_000, 13)),
+    ])
+    def test_digest_text_is_comma_joined_indices(self, train, test):
+        """The digest hashes "train:" and ";test:" before each partition's
+        indices joined by commas, the text model files were written with."""
+        idx = SplitIndices(np.array(train, dtype=np.int64), np.array(test, dtype=np.int64))
+        text = ("train:" + ",".join(map(str, idx.train.tolist()))
+                + ";test:" + ",".join(map(str, idx.test.tolist())))
+        assert split_digest(idx) == hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestScaler:

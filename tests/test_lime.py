@@ -109,24 +109,27 @@ class TestSamplePerturbations:
 
 def whole_array_sampler(instance, n, stats, rng):
     """The sampler before blocked draws: one (n - 1, d) draw of training
-    rows, gathered with 2-D fancy indexing."""
+    rows, gathered with 2-D fancy indexing, compared in a table of every
+    training cell's bin code."""
     d = instance.shape[0]
     inst_codes = [bin_codes(e, v) for e, v in zip(stats.edges, instance)]
-    rows, cols = rng.integers(0, len(stats.codes), size=(n - 1, d)), np.arange(d)
-    match = np.vstack([np.ones(d, dtype=bool), stats.codes[rows, cols] == inst_codes])
+    codes = np.column_stack([bin_codes(e, col) for e, col in zip(stats.edges, stats.X_train.T)])
+    rows, cols = rng.integers(0, len(stats.X_train), size=(n - 1, d)), np.arange(d)
+    match = np.vstack([np.ones(d, dtype=bool), codes[rows, cols] == inst_codes])
     drawn = np.vstack([instance, stats.X_train[rows, cols]])
     return match, np.where(match, instance, drawn)
 
 
-def mixed_table(n_rows, d, seed):
+def mixed_table(n_rows, d, seed, kinds="mixed"):
     """Numeric columns at even positions, 3-level categorical ones at odd
-    positions; both standardized-looking."""
+    positions (kinds "mixed"), or all of one kind ("numeric", with no
+    schema, or "categorical"); both standardized-looking."""
     rng = np.random.default_rng(seed)
-    X = np.column_stack([rng.normal(size=n_rows) if j % 2 == 0
-                         else rng.integers(0, 3, size=n_rows) * 0.9 - 0.8
-                         for j in range(d)])
-    schema = toy_schema([("numeric", ()) if j % 2 == 0 else (CATEGORICAL, ("a", "b", "c"))
-                         for j in range(d)])
+    numeric = [kinds == "numeric" or kinds == "mixed" and j % 2 == 0 for j in range(d)]
+    X = np.column_stack([rng.normal(size=n_rows) if num
+                         else rng.integers(0, 3, size=n_rows) * 0.9 - 0.8 for num in numeric])
+    schema = None if kinds == "numeric" else \
+        toy_schema([("numeric", ()) if num else (CATEGORICAL, ("a", "b", "c")) for num in numeric])
     return X, schema
 
 
@@ -160,8 +163,27 @@ class TestBlockedSampling:
             assert [a.dtype for a in got] == [np.bool_, np.float64]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+    @pytest.mark.parametrize("n", [2, 1025, 5000])
+    @pytest.mark.parametrize("kinds", ["numeric", "categorical"])
+    def test_matches_whole_array_sampler_on_one_kind(self, n, kinds):
+        X, schema = mixed_table(245, 16, seed=n, kinds=kinds)
+        stats = build_stats(X, fit_discretizer(X, schema))
+        want = whole_array_sampler(X[7], n, stats, np.random.default_rng(n))
+        got = sample_perturbations(X[7], n, stats, np.random.default_rng(n))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
 
 class TestBuildStats:
+    """The sampler bins only the cells it draws: a drawn cell's Z entry is
+    whether its bin code equals the instance's, re-derived here from the
+    same random stream."""
+
+    @staticmethod
+    def drawn_matches(X, stats, i, bins, n=200):
+        Z, _ = sample_perturbations(X[i], n, stats, np.random.default_rng(i))
+        rows = np.random.default_rng(i).integers(0, len(X), size=(n - 1, X.shape[1]))
+        return Z[1:].tolist(), (bins[rows, np.arange(X.shape[1])] == bins[i]).tolist()
+
     def test_codes_on_quartile_edges(self):
         # quartiles of 1..9 with repeats are exactly 3, 5 and 7, which the
         # column also holds, so those values must land in the lower bin
@@ -174,8 +196,10 @@ class TestBuildStats:
         stats = build_stats(X, edges)
         assert stats.edges is edges
         assert np.array_equal(stats.X_train, X)
-        assert stats.codes[:, 0].tolist() == [1, 0, 0, 3, 2, 0, 0, 1, 3]
-        assert stats.codes[:, 1].tolist() == cat.tolist()
+        bins = np.column_stack([[1, 0, 0, 3, 2, 0, 0, 1, 3], cat])
+        for i in range(len(X)):
+            got, want = self.drawn_matches(X, stats, i, bins)
+            assert got == want, i
 
     def test_matches_per_cell_reference(self):
         rng = np.random.default_rng(3)
@@ -184,10 +208,12 @@ class TestBuildStats:
                              rng.integers(0, 3, size=200) * 0.7 - 0.4])
         edges = fit_discretizer(X, toy_schema([("numeric", ()), ("numeric", ()),
                                                (CATEGORICAL, ("a", "b", "c"))]))
-        codes = build_stats(X, edges).codes
-        assert codes.shape == X.shape
-        for (i, j), code in np.ndenumerate(codes):
-            assert code == bin_codes(edges[j], X[i, j])
+        stats = build_stats(X, edges)
+        bins = np.array([[bin_codes(edges[j], X[i, j]) for j in range(3)]
+                         for i in range(200)], dtype=np.float64)
+        for i in (0, 17, 99, 150):
+            got, want = self.drawn_matches(X, stats, i, bins, n=500)
+            assert got == want, i
 
 
 def two_stage_sampler(instance, n, X, edges, rng):
@@ -552,6 +578,26 @@ class TestThreadBuffers:
         # a first explain, which allocates the (5000, 16) buffers, peaks at
         # ~1.7 MB (~2.9 MB when they were four float arrays); a warm one ~0.37 MB
         assert peak < 1_000_000
+
+    def test_explain_allocates_no_training_sized_table(self):
+        """Over 30,000 training rows of 16 features, an explanation whose
+        buffers exist allocates less than one (n_train, d) float64 array
+        (3.84 MB): the sampler bins only the cells it draws (a table of
+        every training cell's bin code took that much again)."""
+        f = self.model()
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30_000, 16))
+        X[:, 1::2] = rng.integers(0, 11, size=(30_000, 8))
+        schema = toy_schema([("numeric", ()) if j % 2 == 0 else
+                             (CATEGORICAL, tuple("abcdefghijk")) for j in range(16)])
+        explain(f, X[0], X[:100], LimeConfig(seed=1), schema)   # this thread's buffers
+        tracemalloc.start()
+        try:
+            explain(f, X[0], X, LimeConfig(seed=1), schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
     def test_warm_analyze_allocates_no_trajectory_arrays(self):
         f, X = self.model(), np.random.default_rng(0).normal(size=(300, 16))

@@ -15,6 +15,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -203,6 +204,21 @@ def private_thyrec_names(source: str) -> list[str]:
 ], ids=["from-import", "import", "attribute", "aliased-module", "public", "not-thyrec"])
 def test_private_name_detector(source, found):
     assert private_thyrec_names(source) == found
+
+
+def test_golden_bytes_rows_lists_the_table_commands_files():
+    """`scripts/golden_bytes.py --rows N` prints the usual listing, then the
+    files of train, evaluate, explain and sensitivity on an N-row table."""
+    from test_golden_bytes import EXPECTED   # which imports this module
+    done = run_tool(ROOT / "scripts" / "golden_bytes.py", "--rows", "150")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
+    assert [line.split("  ", 1)[1] for line in lines] == EXPECTED + [
+        f"rows/{name}" for name in (
+            "eval_report.json", "explanation.json", "explanation_bars.csv", "history.csv",
+            "model.json", "sensitivity.csv", "sensitivity.json", "sensitivity_scatter.csv",
+            "train_report.json")]
 
 
 def test_tools_use_no_private_thyrec_name():
