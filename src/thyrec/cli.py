@@ -21,8 +21,7 @@ from .data import DataError
 from .lime import LimeConfig, explain
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
-from .neural import (TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN, predict_label,
-                     predict_proba)
+from .neural import TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN
 from .persist import ArtifactError, eval_to_dict, fit, load_for_data, save_model, write_json
 
 REPORT_DECIMALS = 4
@@ -91,7 +90,7 @@ def cmd_evaluate(args) -> int:
         idx = artifact.recover_split(y)
         rows = idx.train if args.partition == "train" else idx.test
         X, y = X[rows], y[rows]
-    result = confusion(y, predict_label(artifact.mlp, X))
+    result = confusion(y, artifact.predict(X) >= 0.5)
     _print_metrics_table({args.partition: result})
     if args.out is not None:
         _write(Path(args.out), {"eval_report.json": _report_dict({args.partition: result})})
@@ -106,7 +105,7 @@ def cmd_explain(args) -> int:
 
     config = LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
                         num_features=args.num_features, seed=args.seed)
-    result = explain(lambda Z: predict_proba(artifact.mlp, Z), X[args.index], X[idx.train],
+    result = explain(artifact.predict, X[args.index], X[idx.train],
                      config, schema=artifact.schema, scaler=artifact.scaler,
                      instance_index=args.index)
 
@@ -127,7 +126,7 @@ def cmd_sensitivity(args) -> int:
 
     config = MorrisConfig(levels=args.levels, trajectories=args.trajectories,
                           seed=args.seed)
-    result = analyze(lambda Z: predict_proba(artifact.mlp, Z), X[idx.train], config,
+    result = analyze(artifact.predict, X[idx.train], config,
                      feature_names=artifact.schema.feature_names)
 
     _write(Path(args.out), {"sensitivity.csv": result.table(["mu", "mu_star", "sigma"]),

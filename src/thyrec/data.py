@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 BLOCK_ROWS = 4096     # lines cut into cells per block: bounds the cells held at once
-CHUNK_CHARS = 1 << 18  # text read at once by load_csv
+CHUNK_CHARS = 1 << 16  # characters of whole lines read at once by load_csv
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
@@ -198,14 +197,14 @@ def load_csv(path: str) -> Dataset:
     A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
-    The text is read in chunks of CHUNK_CHARS cut after a line end, and its
-    lines are cut into cells with `str.split` in blocks of BLOCK_ROWS, which
-    on text without a '"' or a bare carriage return is exactly what csv's
-    excel dialect yields; from the first block holding either (or a line
-    longer than csv's field size limit), `csv.reader` reads on. Both feed
-    one dictionary coder, so each distinct value is stored once, every cell
-    is one int32 code, and schema inference and encoding work on the
-    distinct values only.
+    The text is read as whole lines, about CHUNK_CHARS at a time, and cut
+    into cells with `str.split` in blocks of BLOCK_ROWS lines, which on text
+    without a '"' or a bare carriage return is exactly what csv's excel
+    dialect yields. At the first block holding either (or a line longer
+    than csv's field size limit), `csv.reader` reads the file again and
+    goes on past the records already cut. Both feed one dictionary coder,
+    so each distinct value is stored once, every cell is one int32 code,
+    and schema inference and encoding work on the distinct values only.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -244,61 +243,36 @@ def _split_blocks(fh, k: int) -> Iterator[list[str]]:
     """The cells of fh's remaining records, k per record, row by row, in
     blocks of up to BLOCK_ROWS lines; each line is cut at its commas.
 
-    The text is read CHUNK_CHARS at a time and cut after its last line end;
-    a chunk without one is followed by one twice its size. From the first
-    block that `_needs_csv`, `_csv_blocks` reads the text on from that
-    block's start. The line still being read counts too, so a file without
-    line feeds is never held whole."""
-    row, lines, tail, start, size = 0, [], "", 0, CHUNK_CHARS
-    while True:
-        chunk = fh.read(size)
-        *ended, tail = (tail + chunk).split("\n")
-        size = CHUNK_CHARS if ended else 2 * size
-        del lines[:start]
-        lines += ended
-        start = 0
-        if not chunk and tail:
-            lines.append(tail)          # the last line, which has no line end
-        while len(lines) - start >= BLOCK_ROWS or not chunk and start < len(lines):
-            block = lines[start:start + BLOCK_ROWS]
-            text = "\n".join(block) + "\n"
-            if _needs_csv(text, max(map(len, block))):
-                break
+    `fh.readlines` reads whole lines, about CHUNK_CHARS at a time, and keeps
+    a CRLF together. From the first block that `_needs_csv`, `_csv_blocks`
+    reads the file again, on from the records already cut."""
+    row = 0
+    while chunk := fh.readlines(CHUNK_CHARS):
+        for start in range(0, len(chunk), BLOCK_ROWS):
+            lines = chunk[start:start + BLOCK_ROWS]
+            text = "".join(lines)
+            if _needs_csv(text, max(map(len, lines))):
+                yield from _csv_blocks(fh, k, row)
+                return
             if "\r" in text:
-                block = text.replace("\r\n", "\n").split("\n")
-                block.pop()             # what follows the last line end
-            if "" in block:
-                block = list(filter(None, block))
+                text = text.replace("\r\n", "\n")
+            # blank lines go, and so does what follows the last line end
+            block = list(filter(None, text.split("\n")))
             _check_commas(fh, row, list(map(str.count, block, repeat(","))), k)
             if block:
                 yield ",".join(block).split(",")
             row += len(block)
-            start += BLOCK_ROWS
-        else:
-            if not chunk:
-                return
-            # the line read so far belongs to the next block; a '\r' at
-            # its end may be the first half of a CRLF
-            if not _needs_csv(tail[:-1], len(tail)):
-                continue
-        rest = "\n".join(lines[start:])
-        if chunk:
-            rest += "\n" + tail + fh.readline()       # on to the next line end
-        elif not tail:
-            rest += "\n"
-        yield from _csv_blocks(fh, k, row, io.StringIO(rest, newline=""))
-        return
 
 
-def _csv_blocks(fh, k: int, row: int = 0, pending: Iterable[str] = ()) -> Iterator[list[str]]:
-    """As `_split_blocks`, through csv.reader: the pending lines, which end
-    at a line end, then fh's remaining ones, records numbered from row."""
-    reader = csv.reader(chain(pending, fh))
-    while block := list(islice(reader, BLOCK_ROWS)):
-        records = list(filter(None, block))
-        _check_commas(fh, row, [len(record) - 1 for record in records], k)
-        yield list(chain.from_iterable(records))
-        row += len(records)
+def _csv_blocks(fh, k: int, row: int = 0) -> Iterator[list[str]]:
+    """As `_split_blocks`, through csv.reader: fh is read from its start,
+    past the header and the first `row` data records."""
+    fh.seek(0)
+    records = islice(filter(None, csv.reader(fh)), row + 1, None)
+    while block := list(islice(records, BLOCK_ROWS)):
+        _check_commas(fh, row, [len(record) - 1 for record in block], k)
+        yield list(chain.from_iterable(block))
+        row += len(block)
 
 
 def _check_commas(fh, row: int, commas: list[int], k: int) -> None:
@@ -359,9 +333,14 @@ def encode_with_schema(rows: Sequence[Column], targets: Column,
 
 
 def decode_category(schema: FeatureSchema, feature_index: int, code: float) -> str:
-    """Inverse of label encoding for one categorical cell."""
+    """Inverse of label encoding for one categorical cell; ValueError naming
+    the feature and code unless the code rounds to an index of its vocab."""
     feat = schema.features[feature_index]
-    return feat.vocab[int(round(code))]
+    index = int(round(code)) if math.isfinite(code) else -1
+    if not 0 <= index < len(feat.vocab):
+        raise ValueError(f"feature {feat.name!r}: code {float(code)!r} is none of its "
+                         f"{len(feat.vocab)} categories")
+    return feat.vocab[index]
 
 
 def _round_half_up(x: float) -> int:

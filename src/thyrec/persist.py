@@ -24,7 +24,7 @@ from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, _rou
                    split, split_digest, stratified_split)
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
-                     init_mlp, predict_label, train)
+                     init_mlp, predict_label, predict_proba, train)
 
 FORMAT_VERSION = 1
 TRAIN_RATIO = 0.8                 # share of the rows in the training partition
@@ -69,6 +69,15 @@ class ModelArtifact:
         self.train_config = train_config
         self.final_metrics = final_metrics   # counts under "train" and "test"
         self.split = split
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """P(class=1) per row of the scaled X; ArtifactError if any is not
+        finite, which finite inputs give only through extreme weights."""
+        with np.errstate(all="ignore"):
+            p = predict_proba(self.mlp, X)
+        if not np.isfinite(p).all():
+            raise ArtifactError("model returned a non-finite probability")
+        return p
 
     def recover_split(self, y: np.ndarray) -> SplitIndices:
         """The recorded split, redrawn from the labels y of the same table.
@@ -212,6 +221,13 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
                     stds=_array(scaler_d, "stds", "scaler"))
     if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
         raise ArtifactError(f"scaler means/stds need one entry per feature ({d})")
+    for feat, m, s in zip(schema.features, scaler.means, scaler.stds):
+        codes = np.arange(len(feat.vocab))   # none for a numeric feature
+        with np.errstate(all="ignore"):      # as LIME scales a code and maps it back
+            back = np.round((codes - m) / s * s + m)
+        if not np.array_equal(back, codes):
+            raise ArtifactError(f"feature {feat.name!r}: its codes do not survive the "
+                                f"scaler (mean {float(m)!r}, std {float(s)!r})")
 
     layers = []
     prev_out = None

@@ -21,7 +21,7 @@ from thyrec.cli import build_parser, main, run
 from thyrec.lime import LimeConfig
 from thyrec.morris import MorrisConfig
 from thyrec.neural import TrainConfig, predict_proba
-from thyrec.persist import load_model, save_model
+from thyrec.persist import load_for_data, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -192,12 +192,16 @@ class TestEvaluate:
         (("train_config", "learning_rate"), 10 ** 400),
         (("scaler", "means", 0), 10 ** 400),
         (("final_metrics", "test", "metrics", "accuracy"), 10 ** 400),
+        # finite, but Gender's and Smoking's codes do not survive the scaler
+        (("scaler", "means", 1), 2.0 ** 63),
+        (("scaler", "means", 2), 2.0 ** 63),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
             "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
             "negative-count", "two-outputs", "no-outputs", "hidden-width-0",
             "split-seed-negative", "target-name-is-feature", "learning-rate-int-too-large",
-            "scaler-mean-int-too-large", "metric-int-too-large"])
+            "scaler-mean-int-too-large", "metric-int-too-large", "gender-mean-2**63",
+            "smoking-mean-2**63"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -206,6 +210,26 @@ class TestEvaluate:
         capsys.readouterr()
         assert main(["evaluate", "--model", str(model), "--data", small_csv]) == 4
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_non_finite_output_exits_4(self, small_csv, tmp_path, capsys):
+        """A finite but extreme weight makes the network return NaN for some
+        rows (inf - inf inside it). No command counts such a row or shows
+        numpy's warnings: each exits 4 with one line."""
+        model = run_train(small_csv, tmp_path / "run", epochs=2)
+        raw = json.loads(model.read_text())
+        mutate(raw, ("layers", 0, "weights", 0), 1e308)
+        model.write_text(json.dumps(raw))
+        artifact, X, _ = load_for_data(str(model), small_csv)
+        with np.errstate(all="ignore"):
+            nan_rows = np.flatnonzero(np.isnan(predict_proba(artifact.mlp, X)))
+        assert 0 < len(nan_rows) < len(X)
+        common = ["--model", str(model), "--data", small_csv]
+        for command in (["evaluate", "--partition", "all"],
+                        ["explain", "--index", str(nan_rows[0]), "--out", str(tmp_path / "e")],
+                        ["sensitivity", "--out", str(tmp_path / "s")]):
+            capsys.readouterr()
+            assert main([*command, *common]) == 4, command
+            assert capsys.readouterr().err == "error: model returned a non-finite probability\n"
 
     def test_missing_model_exits_4(self, small_csv, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),

@@ -152,6 +152,15 @@ CORPUS = {
     "long-field": table(edit(1, "51," + "M" * (csv.field_size_limit() + 1) + ",Yes")),
     "unseen-categories": table(edit(2, "29,X,No")[:4] + ["45,Yes,No"] + ROWS[5:]),
     "non-finite-numbers": table(edit(2, "nan,F,No")[:4] + ["M,F,No"] + ROWS[5:]),
+    # the first '"' or bare carriage return after the first block: csv.reader
+    # reads the file again, past the records already cut
+    "byte-order-mark-late-quote": "\ufeff" + table(edit(4, '45,"F",No')),
+    "blank-lines-late-quote": "\n\n" + table(ROWS[:2] + ["", ""] + edit(5, '"38",M,No')[2:]),
+    "crlf-late-quote": table(edit(4, '45,"F",No'), end="\r\n"),
+    "late-bare-cr": table().replace("45,F,No\n", "45,F,No\r"),
+    "quoted-first-line-of-second-block": table(edit(3, '"62",M,Yes')),
+    "blank-lines-crlf-late-quote-ragged": "\r\n" + table(
+        ROWS[:3] + [""] + edit(4, '45,"F",No')[3:5] + ["38,M"] + ROWS[6:], end="\r\n"),
 }
 SCHEMA = FeatureSchema((Feature("Age", NUMERIC), Feature("Gender", CATEGORICAL, ("F", "M"))),
                        target_name="Recurred", target_vocab=("No", "Yes"))
@@ -232,6 +241,7 @@ class TestTokenizers:
         ("ragged-offsetting", "line 4: expected 3 cells, got 2"),
         ("ragged-after-blank", "line 4: expected 3 cells, got 1"),
         ("multi-line-then-ragged", "line 8: expected 3 cells, got 2"),
+        ("blank-lines-crlf-late-quote-ragged", "line 9: expected 3 cells, got 2"),
         ("empty-cell", "line 5: empty cell in column 'Gender'"),
         ("empty-target", "line 7: empty cell in column 'Recurred'"),
         ("empty-quoted", "line 4: empty cell in column 'Age'"),
@@ -376,6 +386,16 @@ class TestLabelEncode:
                 continue
             for i in range(len(ds)):
                 assert decode_category(schema, j, enc.X[i, j]) == rows[i][j]
+
+    @pytest.mark.parametrize("code", [-1.0, -0.6, 2.0, 2 ** 63, math.inf, math.nan])
+    def test_decode_category_range_checks(self, tmp_path, code):
+        """A code that rounds to no index of the vocab names none of its
+        categories, not one counted from the end."""
+        schema = schema_of(tmp_path, "G,R\nF,a\nM,b\n")
+        assert decode_category(schema, 0, -0.4) == "F" and decode_category(schema, 0, 1.4) == "M"
+        with pytest.raises(ValueError, match=f"^feature 'G': code {re.escape(repr(float(code)))} "
+                                             f"is none of its 2 categories$"):
+            decode_category(schema, 0, code)
 
     def test_unseen_category_rejected(self, tmp_path):
         schema = schema_of(tmp_path, "G,R\nF,a\nM,b\n")

@@ -227,6 +227,9 @@ class TestErrors:
         (("split", "seed"), -1, "split seed must be >= 0"),
         (("train_config", "seed"), -1, "m.json: seed must be >= 0"),
         (("schema", "target_name"), "Age", "feature and target names must be unique"),
+        # finite, but scaling a code and mapping it back loses it
+        (("scaler", "means", 1), 2.0 ** 63, "feature 'c0': its codes do not survive the scaler"),
+        (("scaler", "stds", 3), 5e-324, "feature 'c2': its codes do not survive the scaler"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -238,7 +241,7 @@ class TestErrors:
             "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
             "counts-contradict-metrics", "metrics-contradict-counts", "negative-count",
             "two-outputs", "no-outputs", "hidden-width-0", "split-seed-negative",
-            "seed-negative", "target-name-is-feature"])
+            "seed-negative", "target-name-is-feature", "code-mean-2**63", "code-std-tiny"])
     def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
