@@ -17,12 +17,13 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .data import DataError
+from .data import DataError, apply_scaler
 from .lime import LimeConfig, explain
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .morris import MorrisConfig, analyze
 from .neural import TrainConfig, VAL_FROM_TEST_AS_PAPER, VAL_FROM_TRAIN
-from .persist import ArtifactError, eval_to_dict, fit, load_for_data, save_model, write_json
+from .persist import (ArtifactError, eval_to_dict, fit, load_for_data, load_model, save_model,
+                      write_json)
 
 REPORT_DECIMALS = 4
 
@@ -121,12 +122,15 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    artifact, X, y = load_for_data(args.model, args.data)
-    idx = artifact.recover_split(y)
+    artifact = load_model(args.model)
+    if args.data is not None:
+        artifact.check_table(args.data)
 
     config = MorrisConfig(levels=args.levels, trajectories=args.trajectories,
                           seed=args.seed)
-    result = analyze(artifact.predict, X[idx.train], config,
+    # scaling is monotone, so these two rows bound the scaled training rows exactly
+    bounds = apply_scaler(artifact.scaler, artifact.train_bounds)
+    result = analyze(artifact.predict, bounds, config,
                      feature_names=artifact.schema.feature_names)
 
     _write(Path(args.out), {"sensitivity.csv": result.table(["mu", "mu_star", "sigma"]),
@@ -148,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "metrics, local explanations and global sensitivity analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, out_default="out", seed=True):
-        p.add_argument("--data", required=True, help="input CSV (last column = target)")
+    def common(p, model=False, out_default="out", seed=True, data_required=True):
+        p.add_argument("--data", required=data_required, help="input CSV (last column = target)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out_default, help="output directory")
@@ -182,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("sensitivity", help="Morris elementary-effects screening")
-    common(p, model=True)
+    common(p, model=True, data_required=False)
     p.add_argument("--trajectories", type=int, default=MorrisConfig.trajectories)
     p.add_argument("--levels", type=int, default=MorrisConfig.levels)
     p.set_defaults(func=cmd_sensitivity)

@@ -190,8 +190,10 @@ def analyze(predict_fn, X_train: np.ndarray, config: MorrisConfig,
             feature_names: list[str] | None = None) -> MorrisResult:
     """Morris screening of predict_fn over the observed feature ranges.
 
-    X_train is the training matrix in model space. Total model evaluations:
-    trajectories * (d + 1), in one call.
+    X_train is any set of model-space rows whose per-feature minimum and
+    maximum bound the screen: the training matrix, or just its two rows of
+    minima and maxima. Total model evaluations: trajectories * (d + 1), in
+    one call.
     """
     X = np.asarray(X_train, dtype=np.float64)
     d = X.shape[1]

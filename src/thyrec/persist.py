@@ -2,8 +2,9 @@
 `thyrec train` writes.
 
 One self-describing JSON file holds the schema, scaler, layer shapes and
-row-major weights, training configuration, final metrics and the split
-fingerprint. Serialization is canonical (sorted keys, full-precision
+row-major weights, training configuration, final metrics, the split
+fingerprint, each feature's training minimum and maximum, and the sha256 of
+the training CSV. Serialization is canonical (sorted keys, full-precision
 shortest round-trip floats) so identical runs produce byte-identical files
 and save -> load -> save is the identity.
 """
@@ -11,8 +12,10 @@ and save -> load -> save is the identity.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
+import re
 import types
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
@@ -26,7 +29,7 @@ from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
                      init_mlp, predict_label, predict_proba, train)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 TRAIN_RATIO = 0.8                 # share of the rows in the training partition
 HIDDEN_LAYOUT = [128, 64, 32]     # hidden-layer widths of a trained model
 # Each layer's activation as written; a layer's position fixes it.
@@ -61,14 +64,22 @@ class SplitInfo:
         return cls(seed, ratio, stratified, split_digest(idx)), idx
 
 
+def file_sha256(path: str) -> str:
+    """The hex sha256 of the bytes of the file at path."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class ModelArtifact:
     def __init__(self, schema: FeatureSchema, scaler: Scaler, mlp: MLP,
                  train_config: TrainConfig, final_metrics: dict[str, ConfusionMatrix],
-                 split: SplitInfo):
+                 split: SplitInfo, train_bounds: np.ndarray, data_sha256: str):
         self.schema, self.scaler, self.mlp = schema, scaler, mlp
         self.train_config = train_config
         self.final_metrics = final_metrics   # counts under "train" and "test"
         self.split = split
+        self.train_bounds = train_bounds     # (2, d): training min and max, data units
+        self.data_sha256 = data_sha256       # of the training CSV's bytes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """P(class=1) per row of the scaled X; ArtifactError if any is not
@@ -104,6 +115,28 @@ class ModelArtifact:
                     f"training CSV")
         return idx
 
+    def scale_table(self, csv_path: str) -> tuple[np.ndarray, np.ndarray]:
+        """The CSV at csv_path encoded with this model's schema (nothing is
+        inferred from the data): every row scaled with its scaler, and the
+        labels."""
+        dataset, schema = load_csv(csv_path), self.schema
+        columns = schema.feature_names + [schema.target_name]
+        if dataset.header != columns:
+            raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
+        encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
+        return apply_scaler(self.scaler, encoded.X), encoded.y
+
+    def check_table(self, csv_path: str) -> None:
+        """DataError unless the CSV at csv_path could be this model's training
+        table. Its bytes hashing to data_sha256 settle it unparsed; any other
+        file must pass scale_table and recover_split."""
+        try:
+            if file_sha256(csv_path) == self.data_sha256:
+                return
+        except OSError:      # load_csv names what is wrong with the path
+            pass
+        self.recover_split(self.scale_table(csv_path)[1])
+
 
 def eval_to_dict(cm: ConfusionMatrix, decimals: int | None = None) -> dict:
     """Confusion counts and the metrics computed from them; decimals rounds
@@ -135,6 +168,8 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
         "final_metrics": {name: eval_to_dict(cm)
                           for name, cm in artifact.final_metrics.items()},
         "split": asdict(artifact.split),
+        "train_bounds": artifact.train_bounds.tolist(),
+        "data_sha256": artifact.data_sha256,
     }
 
 
@@ -221,13 +256,31 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
                     stds=_array(scaler_d, "stds", "scaler"))
     if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
         raise ArtifactError(f"scaler means/stds need one entry per feature ({d})")
-    for feat, m, s in zip(schema.features, scaler.means, scaler.stds):
+    rows = _get(raw, "train_bounds", "artifact", list)
+    train_bounds = [_array(rows, i, "train_bounds") for i in range(len(rows))]
+    if [b.shape for b in train_bounds] != [(d,), (d,)]:
+        raise ArtifactError(f"train_bounds must be 2 rows (min, max) of {d} values")
+    for feat, m, s, lo, hi in zip(schema.features, scaler.means, scaler.stds, *train_bounds):
         codes = np.arange(len(feat.vocab))   # none for a numeric feature
-        with np.errstate(all="ignore"):      # as LIME scales a code and maps it back
+        with np.errstate(all="ignore"):      # as LIME scales a code and maps it back,
             back = np.round((codes - m) / s * s + m)
+            span = (hi - m) / s - (lo - m) / s   # and as sensitivity scales the bounds
         if not np.array_equal(back, codes):
             raise ArtifactError(f"feature {feat.name!r}: its codes do not survive the "
                                 f"scaler (mean {float(m)!r}, std {float(s)!r})")
+        if lo > hi:
+            raise ArtifactError(f"feature {feat.name!r}: training minimum {float(lo)!r} "
+                                f"exceeds maximum {float(hi)!r}")
+        if feat.vocab and not all(v.is_integer() and 0 <= v < len(codes) for v in (lo, hi)):
+            raise ArtifactError(f"feature {feat.name!r}: training bounds must be codes "
+                                f"in 0..{len(codes) - 1}")
+        # a scaled span of 0 screens a varying feature at a constant, inf at NaN
+        if not feat.vocab and not (np.isfinite(span) and (span > 0 or lo == hi)):
+            raise ArtifactError(f"feature {feat.name!r}: its training range does not "
+                                f"survive the scaler (mean {float(m)!r}, std {float(s)!r})")
+    data_sha256 = _get(raw, "data_sha256", "artifact", str)
+    if not re.fullmatch("[0-9a-f]{64}", data_sha256):
+        raise ArtifactError("data_sha256 must be 64 lowercase hex characters")
 
     layers = []
     prev_out = None
@@ -270,7 +323,8 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         train_config=_record(TrainConfig, _get(raw, "train_config", "artifact"),
                              "train_config"),
         final_metrics=final,
-        split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"))
+        split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"),
+        train_bounds=np.array(train_bounds), data_sha256=data_sha256)
 
 
 def load_model(path: str) -> ModelArtifact:
@@ -291,24 +345,19 @@ def load_model(path: str) -> ModelArtifact:
 
 
 def load_for_data(model_path: str, csv_path: str) -> tuple[ModelArtifact, np.ndarray, np.ndarray]:
-    """The artifact at model_path, then the CSV at csv_path encoded with its
-    schema (nothing is inferred from the data): every row scaled with its
-    scaler, and the labels."""
+    """The artifact at model_path, then the CSV at csv_path as its
+    `scale_table` reads it: every row scaled, and the labels."""
     artifact = load_model(model_path)
-    dataset, schema = load_csv(csv_path), artifact.schema
-    columns = schema.feature_names + [schema.target_name]
-    if dataset.header != columns:
-        raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
-    encoded = encode_with_schema(dataset.rows, dataset.targets, schema)
-    return artifact, apply_scaler(artifact.scaler, encoded.X), encoded.y
+    return (artifact, *artifact.scale_table(csv_path))
 
 
 def fit(csv_path: str, config: TrainConfig,
         stratify: bool = False) -> tuple[ModelArtifact, TrainHistory]:
     """The model `thyrec train` writes, trained on the CSV at csv_path, and
     its per-epoch history. In order: label-encode the table, inferring its
-    schema; draw the seeded TRAIN_RATIO split (by class if stratify); fit
-    the scaler on the training rows and scale every row; pick the monitoring
+    schema; hash the CSV's bytes; draw the seeded TRAIN_RATIO split (by
+    class if stratify); fit the scaler on the training rows and keep their
+    per-feature minimum and maximum; scale every row; pick the monitoring
     rows; initialise a HIDDEN_LAYOUT network; train; count the train and
     test confusions. The monitoring rows are the last validation_fraction · n
     (rounded half up, at most n - 1) of a seeded shuffle of the n training
@@ -318,8 +367,12 @@ def fit(csv_path: str, config: TrainConfig,
     no whole-table matrix is alive while the network trains; every row it
     trains on or monitors is a slice of the reordered partitions."""
     encoded = label_encode(load_csv(csv_path))   # the coded table is not kept
+    data_sha256 = file_sha256(csv_path)
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
-    scaler = fit_scaler(encoded.X[idx.train])
+    X_train = encoded.X[idx.train]
+    scaler = fit_scaler(X_train)
+    bounds = np.array([X_train.min(axis=0), X_train.max(axis=0)])
+    del X_train
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
     rng = np.random.default_rng(config.seed)       # draws everything training draws
     rows = {"train": idx.train, "test": idx.test}
@@ -342,4 +395,5 @@ def fit(csv_path: str, config: TrainConfig,
                          X[source][cut:], y[source][cut:])
     results = {name: confusion(y[name], predict_label(mlp, X[name])) for name in rows}
     return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
-                         final_metrics=results, split=split), history
+                         final_metrics=results, split=split, train_bounds=bounds,
+                         data_sha256=data_sha256), history

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -16,12 +17,15 @@ import pytest
 import thyrec
 from synth import generate_rows, write_csv
 from test_persist import NEGATIVE_COUNT, empty_first_hidden, mutate, no_outputs, two_outputs
-from thyrec import data
+from thyrec import data, persist
 from thyrec.cli import build_parser, main, run
 from thyrec.lime import LimeConfig
-from thyrec.morris import MorrisConfig
+from thyrec.morris import MorrisConfig, analyze
 from thyrec.neural import TrainConfig, predict_proba
 from thyrec.persist import load_for_data, load_model, save_model
+
+
+SENSITIVITY_FILES = ("sensitivity.csv", "sensitivity.json", "sensitivity_scatter.csv")
 
 
 @pytest.fixture(scope="module")
@@ -195,13 +199,17 @@ class TestEvaluate:
         # finite, but Gender's and Smoking's codes do not survive the scaler
         (("scaler", "means", 1), 2.0 ** 63),
         (("scaler", "means", 2), 2.0 ** 63),
+        (("format_version",), 1),
+        (("train_bounds", 0, 0), 1e9),
+        (("data_sha256",), "x"),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
             "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
             "negative-count", "two-outputs", "no-outputs", "hidden-width-0",
             "split-seed-negative", "target-name-is-feature", "learning-rate-int-too-large",
             "scaler-mean-int-too-large", "metric-int-too-large", "gender-mean-2**63",
-            "smoking-mean-2**63"])
+            "smoking-mean-2**63", "format-version-1", "bounds-min-above-max",
+            "sha256-not-hex"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -230,6 +238,25 @@ class TestEvaluate:
             capsys.readouterr()
             assert main([*command, *common]) == 4, command
             assert capsys.readouterr().err == "error: model returned a non-finite probability\n"
+
+    def test_numeric_range_lost_to_the_scaler_exits_4(self, small_csv, tmp_path, capsys):
+        """An Age mean of 1e308 is finite, but every age scales to the same
+        value, so the network would see one constant Age: the loader refuses
+        the file before any command scores a row."""
+        model = run_train(small_csv, tmp_path / "run", epochs=2)
+        raw = json.loads(model.read_text())
+        mutate(raw, ("scaler", "means", 0), 1e308)
+        model.write_text(json.dumps(raw))
+        common = ["--model", str(model), "--data", small_csv]
+        for command in (["evaluate", "--partition", "all"],
+                        ["explain", "--index", "0", "--out", str(tmp_path / "e")],
+                        ["sensitivity", "--out", str(tmp_path / "s")]):
+            capsys.readouterr()
+            assert main([*command, *common]) == 4, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(
+                "error: feature 'Age': its training range does not survive the scaler "
+                "(mean 1e+308, std "), err
 
     def test_missing_model_exits_4(self, small_csv, tmp_path):
         assert main(["evaluate", "--model", str(tmp_path / "no.json"),
@@ -308,11 +335,16 @@ class TestEvaluate:
 
     def test_byte_order_mark_is_read_as_text(self, small_csv, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark trains the same model
-        bytes as the plain file, and the model commands accept it."""
+        bytes as the plain file, but for the sha256 each records of its own
+        bytes, and the model commands accept it."""
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(small_csv).read_bytes())
         plain = run_train(small_csv, tmp_path / "plain")
-        assert run_train(str(bom), tmp_path / "bom").read_bytes() == plain.read_bytes()
+        digests = [hashlib.sha256(Path(path).read_bytes()).hexdigest().encode()
+                   for path in (small_csv, bom)]
+        assert digests[0] in plain.read_bytes()
+        assert run_train(str(bom), tmp_path / "bom").read_bytes() == \
+            plain.read_bytes().replace(*digests)
         common = ["--model", str(plain), "--data", str(bom)]
         assert main(["evaluate", *common, "--out", str(tmp_path / "eval")]) == 0
         assert main(["explain", *common, "--index", "0", "--num-samples", "50",
@@ -503,6 +535,26 @@ class TestSensitivity:
         assert capsys.readouterr().err.splitlines() == ["error: levels is too large for a float"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_without_data_writes_what_the_training_matrix_gives(self, small_csv, tmp_path,
+                                                               seed):
+        """The model's two rows of training bounds screen exactly as the
+        whole scaled training partition does: with --data or without it,
+        every output byte is the same, and equal to a screen of the matrix."""
+        model = run_train(small_csv, tmp_path / "run", seed=seed)
+        for name, data_flag in (("with", ["--data", small_csv]), ("without", [])):
+            assert main(["sensitivity", "--model", str(model), *data_flag, "--seed", str(seed),
+                         "--trajectories", "12", "--out", str(tmp_path / name)]) == 0
+        for name in SENSITIVITY_FILES:
+            assert (tmp_path / "with" / name).read_bytes() == \
+                (tmp_path / "without" / name).read_bytes()
+        artifact, X, y = load_for_data(str(model), small_csv)
+        screen = analyze(artifact.predict, X[artifact.recover_split(y).train],
+                         MorrisConfig(trajectories=12, seed=seed),
+                         feature_names=artifact.schema.feature_names)
+        assert json.loads((tmp_path / "with" / "sensitivity.json").read_text()) == \
+            screen.as_dict()
+
     def test_deterministic_bytes(self, small_csv, tmp_path):
         model = run_train(small_csv, tmp_path / "run")
         blobs = []
@@ -512,6 +564,69 @@ class TestSensitivity:
                          "--trajectories", "6", "--out", str(out), "--seed", "4"]) == 0
             blobs.append((out / "sensitivity.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestSensitivityTable:
+    """How `sensitivity --data` checks its table: the training CSV's own
+    bytes are recognised by their sha256 and never parsed; any other file
+    takes the checks `evaluate` and `explain` run. Either way the screen
+    spans the model's stored training bounds."""
+
+    @pytest.fixture
+    def model(self, small_csv, tmp_path) -> Path:
+        return run_train(small_csv, tmp_path / "run")
+
+    @staticmethod
+    def screen(model, out, *data_flag) -> dict[str, bytes]:
+        assert main(["sensitivity", "--model", str(model), *data_flag, "--seed", "3",
+                     "--trajectories", "6", "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in SENSITIVITY_FILES}
+
+    def test_training_bytes_are_not_parsed(self, model, small_csv, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("load_csv called")
+        monkeypatch.setattr(data, "load_csv", refuse)
+        monkeypatch.setattr(persist, "load_csv", refuse)
+        assert self.screen(model, tmp_path / "a", "--data", small_csv) == \
+            self.screen(model, tmp_path / "b")
+
+    def test_byte_order_mark_copy_takes_the_full_check(self, model, small_csv, tmp_path,
+                                                       monkeypatch):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(small_csv).read_bytes())
+        loaded = []
+
+        def load_csv(path):
+            loaded.append(path)
+            return data.load_csv(path)
+        monkeypatch.setattr(persist, "load_csv", load_csv)
+        assert self.screen(model, tmp_path / "bom", "--data", str(bom)) == \
+            self.screen(model, tmp_path / "plain", "--data", small_csv)
+        assert loaded == [str(bom)]
+
+    def test_missing_table_exits_3(self, model, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["sensitivity", "--model", str(model), "--data", str(tmp_path / "no.csv"),
+                     "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: no such file: {tmp_path / 'no.csv'}"]
+
+    def test_changed_training_value_screens_over_the_model_bounds(self, model, small_csv,
+                                                                  tmp_path):
+        """One training row's Age raised far above the table's: the labels
+        and so the split checks still pass, and the screen keeps to the
+        training range the model stores, where a screen of the edited
+        table's matrix would stretch Age to the new maximum."""
+        artifact, X, y = load_for_data(str(model), small_csv)
+        row = artifact.recover_split(y).train[0]
+        lines = Path(small_csv).read_text().splitlines(keepends=True)
+        lines[row + 1] = "250," + lines[row + 1].split(",", 1)[1]
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(lines))
+        assert self.screen(model, tmp_path / "edited", "--data", str(edited)) == \
+            self.screen(model, tmp_path / "own")
+        X_edited = load_for_data(str(model), str(edited))[1]
+        assert X_edited[row, 0] > X[:, 0].max()
 
 
 def _overcommit_refuses_huge_requests() -> bool:
@@ -873,6 +988,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["train"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["train"], ["evaluate", "--model", "m.json"],
+                                      ["explain", "--model", "m.json", "--index", "0"]],
+                             ids=["train", "evaluate", "explain"])
+    def test_data_is_required_but_for_sensitivity(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "--data" in capsys.readouterr().err
+        assert build_parser().parse_args(["sensitivity", "--model", "m.json"]).data is None
 
     def test_evaluate_takes_no_seed(self, capsys):
         """evaluate is a function of the model and the table: the split's

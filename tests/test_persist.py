@@ -37,6 +37,9 @@ def make_artifact(seed=0, d=4):
         final_metrics={"train": ConfusionMatrix(tp=60, fp=2, tn=240, fn=4),
                        "test": ConfusionMatrix(tp=16, fp=0, tn=58, fn=3)},
         split=SplitInfo(seed=seed, ratio=0.8, stratified=False, indices_digest="d" * 64),
+        # Age in years, then each categorical feature's codes 0 and 2
+        train_bounds=np.array([[15.0] + [0.0] * (d - 1), [82.0] + [2.0] * (d - 1)]),
+        data_sha256="e" * 64,
     )
 
 
@@ -230,6 +233,23 @@ class TestErrors:
         # finite, but scaling a code and mapping it back loses it
         (("scaler", "means", 1), 2.0 ** 63, "feature 'c0': its codes do not survive the scaler"),
         (("scaler", "stds", 3), 5e-324, "feature 'c2': its codes do not survive the scaler"),
+        # finite, but every age scales to one value
+        (("scaler", "means", 0), 1e308,
+         "feature 'Age': its training range does not survive the scaler (mean 1e+308"),
+        (("scaler", "stds", 0), 5e-324, "feature 'Age': its training range does not survive"),
+        (("format_version",), 1, "format_version 1 not supported (expected 2)"),
+        (("train_bounds",), [[15.0, 0.0, 0.0, 0.0]],
+         "train_bounds must be 2 rows (min, max) of 4 values"),
+        (("train_bounds", 1), [82.0, 2.0, 2.0], "train_bounds must be 2 rows (min, max) of 4"),
+        (("train_bounds", 0), 15.0, "train_bounds.0 must be list, not 15.0"),
+        (("train_bounds", 1, 0), float("inf"), "train_bounds.1 holds a non-finite value"),
+        (("train_bounds", 0, 0), 90.0, "feature 'Age': training minimum 90.0 exceeds maximum 82.0"),
+        (("train_bounds", 1, 2), 1.5, "feature 'c1': training bounds must be codes in 0..2"),
+        (("train_bounds", 1, 2), 3.0, "feature 'c1': training bounds must be codes in 0..2"),
+        (("train_bounds", 0, 3), -1.0, "feature 'c2': training bounds must be codes in 0..2"),
+        (("data_sha256",), "E" * 64, "data_sha256 must be 64 lowercase hex characters"),
+        (("data_sha256",), "e" * 63, "data_sha256 must be 64 lowercase hex characters"),
+        (("data_sha256",), 7, "artifact.data_sha256 must be str, not 7"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -241,7 +261,11 @@ class TestErrors:
             "beta1-1", "epsilon-0", "dropout-rate-1", "dropout-rate-negative",
             "counts-contradict-metrics", "metrics-contradict-counts", "negative-count",
             "two-outputs", "no-outputs", "hidden-width-0", "split-seed-negative",
-            "seed-negative", "target-name-is-feature", "code-mean-2**63", "code-std-tiny"])
+            "seed-negative", "target-name-is-feature", "code-mean-2**63", "code-std-tiny",
+            "age-mean-1e308", "age-std-tiny", "format-version-1", "bounds-one-row",
+            "bounds-row-short", "bounds-row-number", "bounds-inf", "bounds-min-above-max",
+            "bounds-code-fraction", "bounds-code-too-large", "bounds-code-negative",
+            "sha256-uppercase", "sha256-short", "sha256-int"])
     def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
