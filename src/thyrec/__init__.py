@@ -12,8 +12,8 @@ from .lime import Explanation, LimeConfig, explain
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .morris import FeatureRanges, MorrisConfig, MorrisResult, analyze
 from .neural import (MLP, AdamState, TrainConfig, TrainHistory, adam_step,
-                     backward, bce_loss, forward, init_mlp, predict_label,
-                     predict_proba, train)
+                     backward, bce_loss, forward, init_mlp, predict_proba,
+                     train)
 from .persist import ModelArtifact, load_model, save_model
 
 __version__ = "0.1.0"

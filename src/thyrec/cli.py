@@ -91,7 +91,7 @@ def cmd_evaluate(args) -> int:
         idx = artifact.recover_split(y)
         rows = idx.train if args.partition == "train" else idx.test
         X, y = X[rows], y[rows]
-    result = confusion(y, artifact.predict(X) >= 0.5)
+    result = confusion(y, artifact.predict(X))
     _print_metrics_table({args.partition: result})
     if args.out is not None:
         _write(Path(args.out), {"eval_report.json": _report_dict({args.partition: result})})

@@ -387,13 +387,22 @@ def split_digest(indices: SplitIndices) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fit_scaler(X: np.ndarray) -> Scaler:
+def fit_scaler(X: np.ndarray, names: list[str] | None = None) -> Scaler:
     """Per-column population mean/std from training rows. Columns with
-    std < 1e-12 store std = 1 so transformation degrades to centering."""
+    std < 1e-12 store std = 1 so transformation degrades to centering.
+    A column whose mean or std overflows a float64 is a DataError naming
+    it: by its entry in names if given, else by position."""
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit a scaler")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # population std (divide by n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)  # population std (divide by n)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if len(bad):
+        j = bad[0]
+        column = f"column {j}" if names is None else f"column {names[j]!r}"
+        raise DataError(f"{column}: its training values are too large for a finite mean and "
+                        f"standard deviation (mean {float(means[j])!r}, std {float(stds[j])!r})")
     stds = np.where(stds < 1e-12, 1.0, stds)
     return Scaler(means=means, stds=stds)
 

@@ -43,20 +43,22 @@ class MetricsReport:
                 for name, value in asdict(self).items()}
 
 
-def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
+def confusion(y_true: np.ndarray, p: np.ndarray) -> ConfusionMatrix:
+    """Counts of the labels y_true (1 = recurrence) against each row's
+    P(recurrence) p. A row is predicted positive iff p >= 0.5, the one
+    decision rule every clinical figure uses; a 0/1 label counts as itself."""
     y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"length mismatch: {y_true.shape} vs {y_pred.shape}")
+    p = np.asarray(p)
+    if y_true.shape != p.shape:
+        raise ValueError(f"length mismatch: {y_true.shape} vs {p.shape}")
     if y_true.size == 0:
         raise ValueError("empty input")
     pos = y_true == 1
-    return ConfusionMatrix(
-        tp=int(np.sum(pos & (y_pred == 1))),
-        fp=int(np.sum(~pos & (y_pred == 1))),
-        tn=int(np.sum(~pos & (y_pred == 0))),
-        fn=int(np.sum(pos & (y_pred == 0))),
-    )
+    called = p >= 0.5
+    tp = int(np.count_nonzero(pos & called))
+    n_called, n_pos = int(np.count_nonzero(called)), int(np.count_nonzero(pos))
+    return ConfusionMatrix(tp=tp, fp=n_called - tp, tn=y_true.size - n_called - n_pos + tp,
+                           fn=n_pos - tp)
 
 
 def _ratio(num: int, den: int) -> float | None:

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import compute_metrics, confusion
+
 # Probability clamp for the loss; matches the common framework epsilon.
 BCE_EPS = 1e-7
 
@@ -344,15 +346,6 @@ def predict_proba(mlp: MLP, X: np.ndarray) -> np.ndarray:
     return probs
 
 
-def predict_label(mlp: MLP, X: np.ndarray) -> np.ndarray:
-    """Hard labels at the fixed 0.5 threshold."""
-    return (predict_proba(mlp, X) >= 0.5).astype(np.int64)
-
-
-def _accuracy(p: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((p >= 0.5).astype(np.int64) == y))
-
-
 def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
           rng: np.random.Generator, X_val: np.ndarray | None = None,
           y_val: np.ndarray | None = None) -> tuple[MLP, TrainHistory]:
@@ -368,6 +361,8 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if y_val is not None:
+        y_val = np.asarray(y_val, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("empty training set")
     state = init_adam(mlp.flat)
@@ -385,11 +380,11 @@ def train(mlp: MLP, X: np.ndarray, y: np.ndarray, config: TrainConfig,
             if not (np.isfinite(mlp.flat).all() and math.isfinite(history.train_loss[-1])):
                 raise ValueError(f"training diverged: non-finite weights or training loss "
                                  f"after epoch {epoch} (learning_rate {config.learning_rate:g})")
-            history.train_accuracy.append(_accuracy(p_train, y))
+            history.train_accuracy.append(compute_metrics(confusion(y, p_train)).accuracy)
             if X_val is not None and len(X_val) > 0:
                 p_val = predict_proba(mlp, X_val)
-                history.val_loss.append(bce_loss(p_val, np.asarray(y_val, dtype=np.int64)))
-                history.val_accuracy.append(_accuracy(p_val, np.asarray(y_val, dtype=np.int64)))
+                history.val_loss.append(bce_loss(p_val, y_val))
+                history.val_accuracy.append(compute_metrics(confusion(y_val, p_val)).accuracy)
             else:
                 history.val_loss.append(float("nan"))
                 history.val_accuracy.append(float("nan"))

@@ -27,7 +27,7 @@ from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, _rou
                    split, split_digest, stratified_split)
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
-                     init_mlp, predict_label, predict_proba, train)
+                     init_mlp, predict_proba, train)
 
 FORMAT_VERSION = 2
 TRAIN_RATIO = 0.8                 # share of the rows in the training partition
@@ -102,9 +102,7 @@ class ModelArtifact:
             raise DataError("data file does not reproduce the split this model was "
                             "trained with; pass the original training CSV")
         for name, rows in (("train", idx.train), ("test", idx.test)):
-            cm = self.final_metrics.get(name)
-            if cm is None:
-                continue
+            cm = self.final_metrics[name]
             positives = int(y[rows].sum())
             held, recorded = (positives, len(rows) - positives), (cm.tp + cm.fn, cm.tn + cm.fp)
             if held != recorded:
@@ -308,7 +306,11 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
         raise ArtifactError("first layer width does not match the schema")
 
     final = {}
-    for name, ed in _get(raw, "final_metrics", "artifact", dict).items():
+    final_d = _get(raw, "final_metrics", "artifact", dict)
+    if sorted(final_d) != ["test", "train"]:
+        raise ArtifactError(f"final_metrics must hold the partitions 'train' and 'test', "
+                            f"not {sorted(final_d)}")
+    for name, ed in final_d.items():
         cm = _record(ConfusionMatrix, _get(ed, "confusion", "final_metrics"), "confusion")
         metrics = _record(MetricsReport, _get(ed, "metrics", "final_metrics"), "metrics")
         if metrics != compute_metrics(cm):
@@ -370,7 +372,7 @@ def fit(csv_path: str, config: TrainConfig,
     data_sha256 = file_sha256(csv_path)
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
     X_train = encoded.X[idx.train]
-    scaler = fit_scaler(X_train)
+    scaler = fit_scaler(X_train, encoded.schema.feature_names)
     bounds = np.array([X_train.min(axis=0), X_train.max(axis=0)])
     del X_train
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
@@ -393,7 +395,7 @@ def fit(csv_path: str, config: TrainConfig,
     n_fit = cut if source == "train" else len(rows["train"])
     mlp, history = train(mlp, X["train"][:n_fit], y["train"][:n_fit], config, rng,
                          X[source][cut:], y[source][cut:])
-    results = {name: confusion(y[name], predict_label(mlp, X[name])) for name in rows}
+    results = {name: confusion(y[name], predict_proba(mlp, X[name])) for name in rows}
     return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
                          final_metrics=results, split=split, train_bounds=bounds,
                          data_sha256=data_sha256), history

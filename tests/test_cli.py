@@ -107,6 +107,30 @@ class TestTrain:
                      "--epochs", "1"]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("age, code", [("2e154", 3), ("1e154", 0)])
+    def test_column_too_large_for_the_scaler_exits_3(self, tmp_path, capsys, age, code):
+        """An Age of 2e154 in a training row squares past float64's range,
+        so its std would be inf and no later command could load the model:
+        train refuses the column and writes nothing. 1e154 still trains."""
+        clean = tmp_path / "clean.csv"
+        write_csv(clean)
+        rows = _read_rows(clean.read_text())
+        rows[1 + int(data.split(len(rows) - 1, 0.8, 0).train[0])][0] = age
+        table = tmp_path / "big-age.csv"
+        table.write_bytes(_write_rows(rows))
+        out = tmp_path / "out"
+        assert main(["train", "--data", str(table), "--out", str(out), "--epochs", "2"]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert len(err) == 1 and err[0].startswith(
+                "error: column 'Age': its training values are too large for a finite "
+                "mean and standard deviation"), err
+            assert not out.exists()
+        else:
+            assert err == []
+            assert main(["evaluate", "--model", str(out / "model.json"),
+                         "--data", str(table)]) == 0
+
     def test_zero_epochs_exits_2(self, small_csv, tmp_path):
         assert main(["train", "--data", small_csv, "--out", str(tmp_path),
                      "--epochs", "0"]) == 2
@@ -672,6 +696,20 @@ def test_size_flag_of_2_63_exits_2_naming_it(small_csv, tmp_path, capsys, argv, 
     assert main([*argv, str(2**63), "--model", str(model), "--data", small_csv,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {name} must be < 2**63"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["explain", "--index", "0", "--num-samples", "9"], "num_samples must be >= 10"),
+    (["explain", "--index", "0", "--num-features", "0"], "num_features must be >= 1")],
+    ids=["train-batch-size-0", "explain-num-samples-9", "explain-num-features-0"])
+def test_size_flag_below_its_minimum_exits_2(small_csv, tmp_path, capsys, argv, message):
+    if argv[0] != "train":
+        argv = [*argv, "--model", str(run_train(small_csv, tmp_path / "run"))]
+        capsys.readouterr()
+    assert main([*argv, "--data", small_csv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -436,6 +436,11 @@ class TestLabelEncode:
 
 
 class TestSplit:
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, float("nan")])
+    def test_ratio_outside_0_1_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be in \\(0, 1\\)"):
+            stratified_split(np.array([0, 1, 0, 1]), ratio, seed=0)
+
     def test_paper_sizes(self):
         idx = split(383, 0.8, seed=0)
         assert len(idx.train) == 306
@@ -487,6 +492,21 @@ class TestSplit:
 
 
 class TestScaler:
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_2_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="need at least 2 rows to fit a scaler"):
+            fit_scaler(np.ones((rows, 3)))
+
+    @pytest.mark.parametrize("names, column", [(None, "column 1"), (["a", "b"], "column 'b'")])
+    def test_column_too_large_for_a_finite_std_named(self, names, column):
+        """2e154 squares past float64's range: no warning, a DataError
+        naming the column; 1e154 still fits."""
+        with pytest.raises(DataError, match=f"^{column}: its training values are too large "
+                                            f"for a finite mean and standard deviation "
+                                            f"\\(mean 1e\\+154, std inf\\)$"):
+            fit_scaler(np.array([[1.0, 2e154], [2.0, 0.0]]), names)
+        assert np.isfinite(fit_scaler(np.array([[1.0, 1e154], [2.0, 0.0]])).stds).all()
+
     def test_population_std(self):
         scaler = fit_scaler(np.array([[1.0], [2.0], [3.0]]))
         assert scaler.means[0] == pytest.approx(2.0, abs=1e-12)

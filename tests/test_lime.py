@@ -79,6 +79,11 @@ class TestSamplePerturbations:
         schema = toy_schema([("numeric", ()), (CATEGORICAL, ("a", "b", "c"))])
         self.stats = build_stats(self.X, fit_discretizer(self.X, schema))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_2_rejected(self, n):
+        with pytest.raises(ValueError, match="need n >= 2 perturbations"):
+            sample_perturbations(self.X[0], n, self.stats, np.random.default_rng(1))
+
     def test_shape_and_instance_row(self):
         Z, Zm = sample_perturbations(self.X[0], 50, self.stats,
                                      np.random.default_rng(1))
@@ -303,6 +308,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             LimeConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_samples": 9}, "num_samples must be >= 10"),
+        ({"num_features": 0}, "num_features must be >= 1")], ids=["samples-9", "features-0"])
+    def test_size_below_its_minimum_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LimeConfig(**kwargs)
+
 
 class TestKernel:
     def test_zero_distance(self):
@@ -325,6 +337,12 @@ def weighted_lstsq_oracle(Z, w, y):
 
 
 class TestFitSurrogate:
+    @pytest.mark.parametrize("lengths", [(10, 9, 10), (10, 10, 11)], ids=["weights", "targets"])
+    def test_unequal_lengths_rejected(self, lengths):
+        rows, n_weights, n_targets = lengths
+        with pytest.raises(ValueError, match="Z rows, weights and targets must have equal"):
+            fit_surrogate(np.ones((rows, 2)), np.ones(n_weights), np.zeros(n_targets), 1.0)
+
     def test_recovers_exact_linear_function(self):
         rng = np.random.default_rng(7)
         Z = rng.integers(0, 2, size=(300, 3)).astype(float)
@@ -388,6 +406,11 @@ def standardized_two_level_data(n=400):
 
 
 class TestExplain:
+    def test_instance_width_mismatch_rejected(self):
+        X = np.random.default_rng(0).normal(size=(20, 2))
+        with pytest.raises(ValueError, match="instance has 3 features, training data 2"):
+            explain(sigmoid_3x1_minus_2x2, np.ones(3), X, LimeConfig())
+
     def test_signs_and_ranking_on_gaussian_data(self):
         X = np.random.default_rng(0).normal(size=(500, 2))
         for seed in range(20):

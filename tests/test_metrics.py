@@ -30,6 +30,23 @@ class TestConfusion:
         cm = confusion(y_true, y_pred)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (16, 0, 58, 3)
 
+    def test_probabilities_are_called_positive_from_half(self):
+        y_true = np.array([1, 1, 1, 0, 0, 0, 1, 0])
+        p = np.array([0.5, np.nextafter(0.5, 0.0), 1.0, 0.5, 0.0, 0.49, 0.9, np.nan])
+        cm = confusion(y_true, p)
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (3, 1, 3, 1)
+        assert cm == confusion(y_true, (p >= 0.5).astype(np.int64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_masked_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        y_true, p = rng.integers(0, 2, size=97), rng.random(97)
+        pos, called = y_true == 1, p >= 0.5
+        assert confusion(y_true, p) == ConfusionMatrix(
+            tp=int(np.sum(pos & called)), fp=int(np.sum(~pos & called)),
+            tn=int(np.sum(~pos & ~called)), fn=int(np.sum(pos & ~called)))
+        assert all(type(v) is int for v in vars(confusion(y_true, p)).values())
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion(np.array([1, 0]), np.array([1]))

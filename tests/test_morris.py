@@ -112,6 +112,10 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             MorrisConfig(trajectories=1)
 
+    def test_no_features_rejected(self):
+        with pytest.raises(ValueError, match="need at least one feature"):
+            generate_trajectories(0, MorrisConfig(), np.random.default_rng(0))
+
 
 class TestElementaryEffects:
     def test_linear_function_recovers_coefficients(self):
@@ -245,6 +249,12 @@ class TestAggregate:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["2", "4"])
+    def test_feature_name_count_mismatch_rejected(self, names):
+        X_train = np.random.default_rng(0).normal(size=(10, 3))
+        with pytest.raises(ValueError, match=f"{len(names)} feature names for 3 features"):
+            analyze(lambda X: X[:, 0], X_train, MorrisConfig(), feature_names=names)
+
     def test_evaluation_count(self):
         calls = {"rows": 0}
 

@@ -8,7 +8,8 @@ import pytest
 
 from thyrec.neural import (BCE_EPS, MLP, PREDICT_ROWS, Layer, TrainConfig, _sigmoid,
                            adam_step, backward, bce_loss, forward, init_adam, init_mlp,
-                           predict_label, predict_proba, train)
+                           predict_proba, train)
+from thyrec.metrics import confusion
 from thyrec.persist import load_model, save_model
 
 
@@ -231,6 +232,18 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(mlp, cache, np.array([1.0, 0.0, 1.0]))
 
+    def test_cache_of_another_layout_rejected(self):
+        """Targets of the batch's length, but the cache holds one layer
+        input fewer than this network has layers."""
+        cache = forward(init_mlp(3, [4], seed=0), np.ones((2, 3)), train=True,
+                        rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="activation shapes do not match this batch"):
+            backward(init_mlp(3, [4, 4], seed=0), cache, np.array([1.0, 0.0]))
+
+    def test_train_mode_dropout_needs_an_rng(self):
+        with pytest.raises(ValueError, match="train-mode forward with dropout needs an rng"):
+            forward(init_mlp(3, [4], seed=0), np.ones((2, 3)), train=True)
+
 
 def reference_adam_scalar(grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
     """Hand-rolled scalar Adam recurrence, evaluated step by step."""
@@ -285,6 +298,15 @@ class TestConfig:
              "epsilon-0", "epsilon-negative", "epsilon-nan", "lr-nan", "lr-inf"])
     def test_adam_hyperparameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"validation_fraction": 1.0}, "validation_fraction must be in \\[0, 1\\)"),
+        ({"validation_fraction": -0.1}, "validation_fraction must be in \\[0, 1\\)")],
+        ids=["batch-0", "validation-1", "validation-negative"])
+    def test_batch_and_validation_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
@@ -402,7 +424,8 @@ class TestPredict:
         X = np.random.default_rng(0).normal(size=(30, 4))
         p = predict_proba(mlp, X)
         assert np.all((p >= 0.0) & (p <= 1.0))
-        assert np.array_equal(predict_label(mlp, X), (p >= 0.5).astype(np.int64))
+        y = np.arange(30) % 2
+        assert confusion(y, p) == confusion(y, (p >= 0.5).astype(np.int64))
 
     def test_zero_weight_model_all_half(self):
         mlp = zeroed(init_mlp(3, [4], seed=0))

@@ -250,6 +250,18 @@ class TestErrors:
         (("data_sha256",), "E" * 64, "data_sha256 must be 64 lowercase hex characters"),
         (("data_sha256",), "e" * 63, "data_sha256 must be 64 lowercase hex characters"),
         (("data_sha256",), 7, "artifact.data_sha256 must be str, not 7"),
+        (("layers",), [], "artifact has no layers"),
+        (("layers", 0), lambda layer: {**layer, "d_in": 5,
+                                       "weights": layer["weights"] + [0.0] * layer["d_out"]},
+         "first layer width does not match the schema"),
+        # recover_split checks each partition's class counts against these
+        (("final_metrics",), {}, "final_metrics must hold the partitions 'train' and 'test', "
+                                 "not []"),
+        (("final_metrics",), lambda fm: {"train": fm["train"]},
+         "final_metrics must hold the partitions 'train' and 'test', not ['train']"),
+        (("final_metrics",), lambda fm: {**fm, "all": fm["test"]},
+         "final_metrics must hold the partitions 'train' and 'test', not "
+         "['all', 'test', 'train']"),
     ], ids=["dropout-1.5", "batch-size-string", "epochs-0", "weight-string",
             "weight-nan", "bias-inf", "empty-vocab", "mean-nan", "scaler-length",
             "std-zero", "std-negative", "dropout-rates-short", "relu-output",
@@ -265,7 +277,9 @@ class TestErrors:
             "age-mean-1e308", "age-std-tiny", "format-version-1", "bounds-one-row",
             "bounds-row-short", "bounds-row-number", "bounds-inf", "bounds-min-above-max",
             "bounds-code-fraction", "bounds-code-too-large", "bounds-code-negative",
-            "sha256-uppercase", "sha256-short", "sha256-int"])
+            "sha256-uppercase", "sha256-short", "sha256-int", "no-layers", "first-layer-5-wide",
+            "final-metrics-empty",
+            "final-metrics-no-test", "final-metrics-extra-partition"])
     def test_malformed_value(self, tmp_path, keys, value, message):
         path = tmp_path / "m.json"
         save_model(make_artifact(), str(path))
