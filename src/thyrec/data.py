@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-BLOCK_ROWS = 4096     # lines cut into cells per block: bounds the cells held at once
+BLOCK_ROWS = 4096     # records csv.reader cuts per block: bounds the cells held at once
 CHUNK_CHARS = 1 << 16  # characters of whole lines read at once by load_csv
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -197,14 +197,14 @@ def load_csv(path: str) -> Dataset:
     A record with the wrong number of cells, or an empty cell, raises
     DataError whose message starts with the file line the record starts on.
 
-    The text is read as whole lines, about CHUNK_CHARS at a time, and cut
-    into cells with `str.split` in blocks of BLOCK_ROWS lines, which on text
-    without a '"' or a bare carriage return is exactly what csv's excel
-    dialect yields. At the first block holding either (or a line longer
-    than csv's field size limit), `csv.reader` reads the file again and
-    goes on past the records already cut. Both feed one dictionary coder,
-    so each distinct value is stored once, every cell is one int32 code,
-    and schema inference and encoding work on the distinct values only.
+    The text is read as whole lines, about CHUNK_CHARS at a time, and each
+    read is cut into cells with `str.split`, which on text without a '"' or
+    a bare carriage return is exactly what csv's excel dialect yields. At
+    the first read holding either (or a line longer than csv's field size
+    limit), `csv.reader` reads the file again and goes on past the records
+    already cut. Both feed one dictionary coder, so each distinct value is
+    stored once, every cell is one int32 code, and schema inference and
+    encoding work on the distinct values only.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -240,28 +240,26 @@ def _needs_csv(text: str, longest: int) -> bool:
 
 
 def _split_blocks(fh, k: int) -> Iterator[list[str]]:
-    """The cells of fh's remaining records, k per record, row by row, in
-    blocks of up to BLOCK_ROWS lines; each line is cut at its commas.
+    """The cells of fh's remaining records, k per record, row by row, one
+    block per read; each line is cut at its commas.
 
     `fh.readlines` reads whole lines, about CHUNK_CHARS at a time, and keeps
-    a CRLF together. From the first block that `_needs_csv`, `_csv_blocks`
+    a CRLF together. From the first read that `_needs_csv`, `_csv_blocks`
     reads the file again, on from the records already cut."""
     row = 0
-    while chunk := fh.readlines(CHUNK_CHARS):
-        for start in range(0, len(chunk), BLOCK_ROWS):
-            lines = chunk[start:start + BLOCK_ROWS]
-            text = "".join(lines)
-            if _needs_csv(text, max(map(len, lines))):
-                yield from _csv_blocks(fh, k, row)
-                return
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-            # blank lines go, and so does what follows the last line end
-            block = list(filter(None, text.split("\n")))
-            _check_commas(fh, row, list(map(str.count, block, repeat(","))), k)
-            if block:
-                yield ",".join(block).split(",")
-            row += len(block)
+    while lines := fh.readlines(CHUNK_CHARS):
+        text = "".join(lines)
+        if _needs_csv(text, max(map(len, lines))):
+            yield from _csv_blocks(fh, k, row)
+            return
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        # blank lines go, and so does what follows the last line end
+        block = list(filter(None, text.split("\n")))
+        _check_commas(fh, row, list(map(str.count, block, repeat(","))), k)
+        if block:
+            yield ",".join(block).split(",")
+        row += len(block)
 
 
 def _csv_blocks(fh, k: int, row: int = 0) -> Iterator[list[str]]:

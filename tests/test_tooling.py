@@ -3,12 +3,13 @@
 `bench/traced_cli.py` wraps thyrec functions by module and name and reads
 some of their arguments by position; `bench/run.py`'s `Server`, which holds
 the explain-serve model, calls `data.load_csv`, `data.encode_with_schema`,
-`data.split` and `data.split_digest` itself; `scripts/request_faults.py`
-loads a model and its table through `persist.load_for_data`. All three run
-here unmodified in subprocesses on a small synthetic table, so a rename or
-a moved argument fails this suite instead of the next benchmark run. None
-may use a private thyrec name, so a refactor inside `src/` is free to
-rename its helpers.
+`data.split` and `data.split_digest` itself, and its `load_synth` loads
+`tests/synth.py` by file path to write every benchmark table;
+`scripts/request_faults.py` loads a model and its table through
+`persist.load_for_data`. All three run here unmodified in subprocesses on a
+small synthetic table, so a rename or a moved argument fails this suite
+instead of the next benchmark run. None may use a private thyrec name, so
+a refactor inside `src/` is free to rename its helpers.
 """
 
 import ast
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from synth import write_csv
+from synth import COLUMNS, write_csv
 from thyrec.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,6 +157,25 @@ def test_bench_server_explains_and_screens(workdir, train_spans):
     assert served["explain"]["feature_weights"]
     assert sorted(served["screen"]["ranking"]) == \
         sorted(f["name"] for f in served["screen"]["features"])
+
+
+LOAD_SYNTH = """
+import runpy, sys
+synth = runpy.run_path(sys.argv[1], run_name="bench_run")["load_synth"]()
+synth.write_csv(sys.argv[2], n=50, seed=5)
+print(",".join(synth.COLUMNS))
+"""
+
+
+def test_bench_loads_synth_by_path(tmp_path):
+    """bench/run.py's `load_synth` loads tests/synth.py by file path
+    (`importlib.util.spec_from_file_location`), with only src/ on the path,
+    and writes the benchmark's tables with it."""
+    done = run_tool("-c", LOAD_SYNTH, ROOT / "bench" / "run.py", tmp_path / "bench.csv")
+    assert done.returncode == 0, done.stderr
+    write_csv(tmp_path / "tests.csv", n=50, seed=5)
+    assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "tests.csv").read_bytes()
+    assert done.stdout.split("\n")[0] == ",".join(COLUMNS)
 
 
 def _dotted(node: ast.expr) -> str | None:
