@@ -13,9 +13,11 @@ outputs byte-identical prints the same lines.
 
 With `--rows N` it then writes an N-row table (tests/synth.py, seed 11) and
 lists, under `rows/`, the files of `train --epochs 3`,
-`evaluate --partition all`, `explain --index 5` and `sensitivity` on it.
-At 38,300 rows that is the cohort-scale check: the CSV spans many read
-chunks and the explanation draws from ~30,000 training rows.
+`evaluate --partition all`, `explain --index 5` and `sensitivity` on it,
+and under `rows/last/` those of `explain --index N-1`, a record in the
+last read of the file. At 38,300 rows that is the cohort-scale check: the
+CSV spans many read chunks and the explanation draws from ~30,000 training
+rows.
 
 With `--values` it prints what the files hold instead of their digests:
 an `== path` line per file, then one `locator value` line per value, the
@@ -98,6 +100,8 @@ def emit_rows(work: Path, rows: int) -> None:
     run("evaluate", "--model", model, "--partition", "all", *common)
     run("explain", "--model", model, "--index", "5", *common)
     run("sensitivity", "--model", model, *common)
+    run("explain", "--model", model, "--index", str(rows - 1), "--data", data,
+        "--out", str(out / "last"))
 
 
 def listing(root: Path) -> list[str]:

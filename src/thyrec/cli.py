@@ -99,16 +99,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    artifact, X, y = load_for_data(args.model, args.data)
-    if not 0 <= args.index < len(y):
-        raise DataError(f"index {args.index} out of range for {len(y)} rows")
-    idx = artifact.recover_split(y)
+    artifact = load_model(args.model)
+    artifact.check_table(args.data)
+    if not 0 <= args.index < artifact.n_rows:
+        raise DataError(f"index {args.index} out of range for {artifact.n_rows} rows")
+    instance = artifact.scale_row(args.data, args.index)
 
     config = LimeConfig(num_samples=args.num_samples, kernel_width=args.kernel_width,
                         num_features=args.num_features, seed=args.seed)
-    result = explain(artifact.predict, X[args.index], X[idx.train],
-                     config, schema=artifact.schema, scaler=artifact.scaler,
-                     instance_index=args.index)
+    # LIME draws each cell on its own, so the sorted training columns serve
+    # as the training rows would
+    result = explain(artifact.predict, instance, artifact.scaled_train_columns(), config,
+                     schema=artifact.schema, scaler=artifact.scaler, instance_index=args.index)
 
     bars = (["feature", "weight"], result.feature_weights)
     _write(Path(args.out), {"explanation.json": result.as_dict(), "explanation_bars.csv": bars})

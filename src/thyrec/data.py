@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -206,6 +207,53 @@ def load_csv(path: str) -> Dataset:
     stored once, every cell is one int32 code, and schema inference and
     encoding work on the distinct values only.
     """
+    with _open_csv(path) as (fh, header):
+        k = len(header)
+        columns = _factorise(_split_blocks(fh, k), k)
+        if not len(columns[-1]):
+            raise DataError(f"{path}: header only, no data rows")
+        empty = [(int(np.argmax(column.codes == column.values.index(""))), j)
+                 for j, column in enumerate(columns) if "" in column.values]
+        if empty:
+            row, j = min(empty)
+            raise DataError(f"line {_record_line(fh, row)}: empty cell in "
+                            f"column {header[j]!r}")
+    return Dataset(header=header, rows=tuple(columns[:-1]), targets=columns[-1])
+
+
+def load_record(path: str, row: int) -> Dataset:
+    """Data record `row` of the CSV at path (0-based, as `load_csv` numbers
+    them) as a one-row Dataset, read as `load_csv` reads the file: the same
+    header rules, line reads, `str.split` cuts and handover to csv.reader.
+    Only the reads up to the record's own are made, and those before it are
+    cut into lines, not cells. Nothing past the record is checked; a record
+    with the wrong number of cells or an empty cell raises DataError as
+    `load_csv` does."""
+    with _open_csv(path) as (fh, header):
+        seen, record = 0, None
+        for lines in _line_blocks(fh) if row >= 0 else ():
+            if lines is None:
+                record = next(_csv_records(fh, row), None)
+                break
+            if row - seen < len(lines):
+                record = lines[row - seen].split(",")
+                break
+            seen += len(lines)
+        if record is None:
+            raise DataError(f"{path}: no data record {row}")
+        _check_commas(fh, row, [len(record) - 1], len(header))
+        if "" in record:
+            raise DataError(f"line {_record_line(fh, row)}: empty cell in "
+                            f"column {header[record.index('')]!r}")
+    *cells, target = (Column((cell,), np.zeros(1, dtype=np.int32)) for cell in record)
+    return Dataset(header=header, rows=tuple(cells), targets=target)
+
+
+@contextmanager
+def _open_csv(path: str) -> Iterator[tuple]:
+    """The CSV file at path open as text, past its header, and the header.
+    A missing, unreadable or undecodable file, and a header that breaks
+    `load_csv`'s rules, raise DataError naming the path."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(filter(None, csv.reader(fh)), None)
@@ -214,21 +262,11 @@ def load_csv(path: str) -> Dataset:
             if len(header) < 2 or "" in header or len(set(header)) < len(header):
                 raise DataError(f"{path}: header {header} needs a feature column before the "
                                 f"target, and names that are non-empty and unique")
-            k = len(header)
-            columns = _factorise(_split_blocks(fh, k), k)
-            if not len(columns[-1]):
-                raise DataError(f"{path}: header only, no data rows")
-            empty = [(int(np.argmax(column.codes == column.values.index(""))), j)
-                     for j, column in enumerate(columns) if "" in column.values]
-            if empty:
-                row, j = min(empty)
-                raise DataError(f"line {_record_line(fh, row)}: empty cell in "
-                                f"column {header[j]!r}")
+            yield fh, header
     except FileNotFoundError as exc:
         raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return Dataset(header=header, rows=tuple(columns[:-1]), targets=columns[-1])
 
 
 def _needs_csv(text: str, longest: int) -> bool:
@@ -239,34 +277,51 @@ def _needs_csv(text: str, longest: int) -> bool:
         or longest > csv.field_size_limit()
 
 
-def _split_blocks(fh, k: int) -> Iterator[list[str]]:
-    """The cells of fh's remaining records, k per record, row by row, one
-    block per read; each line is cut at its commas.
+def _line_blocks(fh) -> Iterator[list[str] | None]:
+    """The non-blank lines of the rest of fh, line ends removed, one list
+    per read; None in place of the first read that `_needs_csv`, and
+    nothing after it, since from there csv.reader must read the file.
 
     `fh.readlines` reads whole lines, about CHUNK_CHARS at a time, and keeps
-    a CRLF together. From the first read that `_needs_csv`, `_csv_blocks`
-    reads the file again, on from the records already cut."""
-    row = 0
+    a CRLF together."""
     while lines := fh.readlines(CHUNK_CHARS):
         text = "".join(lines)
         if _needs_csv(text, max(map(len, lines))):
-            yield from _csv_blocks(fh, k, row)
+            yield None
             return
         if "\r" in text:
             text = text.replace("\r\n", "\n")
         # blank lines go, and so does what follows the last line end
-        block = list(filter(None, text.split("\n")))
+        yield list(filter(None, text.split("\n")))
+
+
+def _split_blocks(fh, k: int) -> Iterator[list[str]]:
+    """The cells of fh's remaining records, k per record, row by row, one
+    block per read of `_line_blocks`; each line is cut at its commas. From
+    the first read that `_needs_csv`, `_csv_blocks` reads the file again,
+    on from the records already cut."""
+    row = 0
+    for block in _line_blocks(fh):
+        if block is None:
+            yield from _csv_blocks(fh, k, row)
+            return
         _check_commas(fh, row, list(map(str.count, block, repeat(","))), k)
         if block:
             yield ",".join(block).split(",")
         row += len(block)
 
 
+def _csv_records(fh, row: int = 0) -> Iterator[list[str]]:
+    """csv.reader's non-blank records of fh read again from its start, past
+    the header and the first `row` data records."""
+    fh.seek(0)
+    return islice(filter(None, csv.reader(fh)), row + 1, None)
+
+
 def _csv_blocks(fh, k: int, row: int = 0) -> Iterator[list[str]]:
     """As `_split_blocks`, through csv.reader: fh is read from its start,
     past the header and the first `row` data records."""
-    fh.seek(0)
-    records = islice(filter(None, csv.reader(fh)), row + 1, None)
+    records = _csv_records(fh, row)
     while block := list(islice(records, BLOCK_ROWS)):
         _check_commas(fh, row, [len(record) - 1 for record in block], k)
         yield list(chain.from_iterable(block))
@@ -377,12 +432,14 @@ def stratified_split(y: np.ndarray, ratio: float, seed: int) -> SplitIndices:
 
 def split_digest(indices: SplitIndices) -> str:
     """Stable digest of a split, stored in model artifacts so downstream
-    commands can verify they reconstructed the same partition."""
-    def listed(part: np.ndarray) -> str:     # "1,2,3": str(list) is "[1, 2, 3]"
-        return str(part.tolist())[1:-1].replace(", ", ",")
-
-    text = "train:" + listed(indices.train) + ";test:" + listed(indices.test)
-    return hashlib.sha256(text.encode()).hexdigest()
+    commands can verify they reconstructed the same partition: the sha256
+    of the training partition's length, then the training and the test
+    indices, each as little-endian int64 bytes."""
+    train, test = (np.asarray(part, dtype="<i8") for part in (indices.train, indices.test))
+    digest = hashlib.sha256(np.asarray(len(train), dtype="<i8").tobytes())
+    digest.update(train.tobytes())
+    digest.update(test.tobytes())
+    return digest.hexdigest()
 
 
 def fit_scaler(X: np.ndarray, names: list[str] | None = None) -> Scaler:

@@ -3,10 +3,10 @@
 
 One self-describing JSON file holds the schema, scaler, layer shapes and
 row-major weights, training configuration, final metrics, the split
-fingerprint, each feature's training minimum and maximum, and the sha256 of
-the training CSV. Serialization is canonical (sorted keys, full-precision
-shortest round-trip floats) so identical runs produce byte-identical files
-and save -> load -> save is the identity.
+fingerprint, each feature's distinct training values with their counts, and
+the sha256 of the training CSV. Serialization is canonical (sorted keys,
+full-precision shortest round-trip floats) so identical runs produce
+byte-identical files and save -> load -> save is the identity.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (DataError, Feature, FeatureSchema, Scaler, SplitIndices, _round_half_up,
-                   apply_scaler, encode_with_schema, fit_scaler, label_encode, load_csv,
-                   split, split_digest, stratified_split)
+from .data import (DataError, Dataset, Feature, FeatureSchema, Scaler, SplitIndices,
+                   _round_half_up, apply_scaler, encode_with_schema, fit_scaler, label_encode,
+                   load_csv, load_record, split, split_digest, stratified_split)
 from .metrics import ConfusionMatrix, MetricsReport, compute_metrics, confusion
 from .neural import (MLP, VAL_FROM_TEST_AS_PAPER, Layer, TrainConfig, TrainHistory,
                      init_mlp, predict_proba, train)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 TRAIN_RATIO = 0.8                 # share of the rows in the training partition
 HIDDEN_LAYOUT = [128, 64, 32]     # hidden-layer widths of a trained model
 # Each layer's activation as written; a layer's position fixes it.
@@ -73,13 +73,39 @@ def file_sha256(path: str) -> str:
 class ModelArtifact:
     def __init__(self, schema: FeatureSchema, scaler: Scaler, mlp: MLP,
                  train_config: TrainConfig, final_metrics: dict[str, ConfusionMatrix],
-                 split: SplitInfo, train_bounds: np.ndarray, data_sha256: str):
+                 split: SplitInfo, train_values: list[tuple[np.ndarray, np.ndarray]],
+                 data_sha256: str):
         self.schema, self.scaler, self.mlp = schema, scaler, mlp
         self.train_config = train_config
         self.final_metrics = final_metrics   # counts under "train" and "test"
         self.split = split
-        self.train_bounds = train_bounds     # (2, d): training min and max, data units
+        # per feature: its distinct training values ascending, in data units,
+        # and how many training rows hold each
+        self.train_values = train_values
         self.data_sha256 = data_sha256       # of the training CSV's bytes
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of the training table: both partitions' confusion totals."""
+        return sum(cm.total for cm in self.final_metrics.values())
+
+    @property
+    def train_bounds(self) -> np.ndarray:
+        """(2, d): each feature's training minimum and maximum, data units."""
+        return np.array([[v[0] for v, _ in self.train_values],
+                         [v[-1] for v, _ in self.train_values]])
+
+    def scaled_train_columns(self) -> np.ndarray:
+        """(n_train, d), scaled: column j holds feature j's training values
+        in ascending order, each as often as training rows hold it, which is
+        bit for bit the scaled training rows sorted column by column
+        (scaling is monotone). A row of it is no training row, but a sampler
+        that draws every cell on its own sees only the columns."""
+        scaler = self.scaler
+        columns = np.empty((self.final_metrics["train"].total, len(self.train_values)))
+        for j, (values, counts) in enumerate(self.train_values):
+            columns[:, j] = np.repeat((values - scaler.means[j]) / scaler.stds[j], counts)
+        return columns
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """P(class=1) per row of the scaled X; ArtifactError if any is not
@@ -117,7 +143,15 @@ class ModelArtifact:
         """The CSV at csv_path encoded with this model's schema (nothing is
         inferred from the data): every row scaled with its scaler, and the
         labels."""
-        dataset, schema = load_csv(csv_path), self.schema
+        return self._scale(load_csv(csv_path))
+
+    def scale_row(self, csv_path: str, row: int) -> np.ndarray:
+        """Data record `row` of the CSV at csv_path, encoded and scaled as
+        `scale_table` encodes and scales it, read by `load_record`: (d,)."""
+        return self._scale(load_record(csv_path, row))[0][0]
+
+    def _scale(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        schema = self.schema
         columns = schema.feature_names + [schema.target_name]
         if dataset.header != columns:
             raise DataError(f"data columns {dataset.header} do not match the model's {columns}")
@@ -166,7 +200,8 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
         "final_metrics": {name: eval_to_dict(cm)
                           for name, cm in artifact.final_metrics.items()},
         "split": asdict(artifact.split),
-        "train_bounds": artifact.train_bounds.tolist(),
+        "train_values": [{"values": values.tolist(), "counts": counts.tolist()}
+                         for values, counts in artifact.train_values],
         "data_sha256": artifact.data_sha256,
     }
 
@@ -240,6 +275,54 @@ def _schema_from_dict(d: dict) -> FeatureSchema:
                          tuple(_get(d, "target_vocab", "schema", list)))
 
 
+def _train_values(entries: list, schema: FeatureSchema, scaler: Scaler,
+                  n_train: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each feature's (values, counts) from its `train_values` entry. The
+    values must be finite and strictly ascending, a categorical feature's
+    codes of its vocab; the counts positive integers, one per value, that
+    add up to the n_train training rows. The scaler must keep a categorical
+    feature's codes and give a numeric feature's training range a finite
+    scaled span, of positive width unless the range has none."""
+    d = len(schema.features)
+    if len(entries) != d:
+        raise ArtifactError(f"train_values must hold one entry per feature ({d}), "
+                            f"not {len(entries)}")
+    train_values = []
+    for i, (feat, m, s) in enumerate(zip(schema.features, scaler.means, scaler.stds)):
+        entry = _get(entries, i, "train_values", dict)
+        context = f"train_values.{i}"
+        values = _array(entry, "values", context)
+        counts = _get(entry, "counts", context, list)
+        name = f"feature {feat.name!r}"
+        if not all(type(c) is int and c > 0 for c in counts):
+            raise ArtifactError(f"{name}: training value counts must be positive integers")
+        if len(counts) != len(values):
+            raise ArtifactError(f"{name}: {len(values)} training values for "
+                                f"{len(counts)} counts")
+        if (values[1:] <= values[:-1]).any():
+            raise ArtifactError(f"{name}: training values must be strictly ascending")
+        if sum(counts) != n_train:
+            raise ArtifactError(f"{name}: training value counts add up to {sum(counts)}, "
+                                f"not the {n_train} training rows of final_metrics")
+        lo, hi = values[0], values[-1]
+        codes = np.arange(len(feat.vocab))   # none for a numeric feature
+        with np.errstate(all="ignore"):      # as LIME scales a code and maps it back,
+            back = np.round((codes - m) / s * s + m)
+            span = (hi - m) / s - (lo - m) / s   # and as sensitivity scales the bounds
+        if not np.array_equal(back, codes):
+            raise ArtifactError(f"{name}: its codes do not survive the "
+                                f"scaler (mean {float(m)!r}, std {float(s)!r})")
+        if feat.vocab and not (0 <= lo and hi < len(codes) and (values == np.round(values)).all()):
+            raise ArtifactError(f"{name}: training values must be codes "
+                                f"in 0..{len(codes) - 1}")
+        # a scaled span of 0 screens a varying feature at a constant, inf at NaN
+        if not feat.vocab and not (np.isfinite(span) and (span > 0 or lo == hi)):
+            raise ArtifactError(f"{name}: its training range does not "
+                                f"survive the scaler (mean {float(m)!r}, std {float(s)!r})")
+        train_values.append((values, np.array(counts, dtype=np.int64)))
+    return train_values
+
+
 def _artifact_from_dict(raw: dict) -> ModelArtifact:
     version = _get(raw, "format_version", "artifact", int)
     if version != FORMAT_VERSION:
@@ -254,28 +337,6 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
                     stds=_array(scaler_d, "stds", "scaler"))
     if scaler.means.shape != (d,) or scaler.stds.shape != (d,):
         raise ArtifactError(f"scaler means/stds need one entry per feature ({d})")
-    rows = _get(raw, "train_bounds", "artifact", list)
-    train_bounds = [_array(rows, i, "train_bounds") for i in range(len(rows))]
-    if [b.shape for b in train_bounds] != [(d,), (d,)]:
-        raise ArtifactError(f"train_bounds must be 2 rows (min, max) of {d} values")
-    for feat, m, s, lo, hi in zip(schema.features, scaler.means, scaler.stds, *train_bounds):
-        codes = np.arange(len(feat.vocab))   # none for a numeric feature
-        with np.errstate(all="ignore"):      # as LIME scales a code and maps it back,
-            back = np.round((codes - m) / s * s + m)
-            span = (hi - m) / s - (lo - m) / s   # and as sensitivity scales the bounds
-        if not np.array_equal(back, codes):
-            raise ArtifactError(f"feature {feat.name!r}: its codes do not survive the "
-                                f"scaler (mean {float(m)!r}, std {float(s)!r})")
-        if lo > hi:
-            raise ArtifactError(f"feature {feat.name!r}: training minimum {float(lo)!r} "
-                                f"exceeds maximum {float(hi)!r}")
-        if feat.vocab and not all(v.is_integer() and 0 <= v < len(codes) for v in (lo, hi)):
-            raise ArtifactError(f"feature {feat.name!r}: training bounds must be codes "
-                                f"in 0..{len(codes) - 1}")
-        # a scaled span of 0 screens a varying feature at a constant, inf at NaN
-        if not feat.vocab and not (np.isfinite(span) and (span > 0 or lo == hi)):
-            raise ArtifactError(f"feature {feat.name!r}: its training range does not "
-                                f"survive the scaler (mean {float(m)!r}, std {float(s)!r})")
     data_sha256 = _get(raw, "data_sha256", "artifact", str)
     if not re.fullmatch("[0-9a-f]{64}", data_sha256):
         raise ArtifactError("data_sha256 must be 64 lowercase hex characters")
@@ -317,6 +378,8 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
             raise ArtifactError(f"final_metrics {name!r}: stored metrics do not "
                                 f"match their confusion counts")
         final[name] = cm
+    train_values = _train_values(_get(raw, "train_values", "artifact", list), schema, scaler,
+                                 final["train"].total)
 
     return ModelArtifact(
         schema=schema, scaler=scaler,
@@ -326,7 +389,7 @@ def _artifact_from_dict(raw: dict) -> ModelArtifact:
                              "train_config"),
         final_metrics=final,
         split=_record(SplitInfo, _get(raw, "split", "artifact"), "split"),
-        train_bounds=np.array(train_bounds), data_sha256=data_sha256)
+        train_values=train_values, data_sha256=data_sha256)
 
 
 def load_model(path: str) -> ModelArtifact:
@@ -342,7 +405,7 @@ def load_model(path: str) -> ModelArtifact:
     # usage.
     try:
         return _artifact_from_dict(raw)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ArtifactError(f"{path}: {exc}") from exc
 
 
@@ -358,8 +421,8 @@ def fit(csv_path: str, config: TrainConfig,
     """The model `thyrec train` writes, trained on the CSV at csv_path, and
     its per-epoch history. In order: label-encode the table, inferring its
     schema; hash the CSV's bytes; draw the seeded TRAIN_RATIO split (by
-    class if stratify); fit the scaler on the training rows and keep their
-    per-feature minimum and maximum; scale every row; pick the monitoring
+    class if stratify); fit the scaler on the training rows and keep each
+    feature's distinct training values with their counts; scale every row; pick the monitoring
     rows; initialise a HIDDEN_LAYOUT network; train; count the train and
     test confusions. The monitoring rows are the last validation_fraction · n
     (rounded half up, at most n - 1) of a seeded shuffle of the n training
@@ -373,7 +436,8 @@ def fit(csv_path: str, config: TrainConfig,
     split, idx = SplitInfo.draw(encoded.y, TRAIN_RATIO, config.seed, stratify)
     X_train = encoded.X[idx.train]
     scaler = fit_scaler(X_train, encoded.schema.feature_names)
-    bounds = np.array([X_train.min(axis=0), X_train.max(axis=0)])
+    # return_counts keeps np.unique off its numpy.ma import
+    train_values = [np.unique(column, return_counts=True) for column in X_train.T]
     del X_train
     encoded.X = apply_scaler(scaler, encoded.X)    # the unscaled table is not read again
     rng = np.random.default_rng(config.seed)       # draws everything training draws
@@ -397,5 +461,5 @@ def fit(csv_path: str, config: TrainConfig,
                          X[source][cut:], y[source][cut:])
     results = {name: confusion(y[name], predict_proba(mlp, X[name])) for name in rows}
     return ModelArtifact(schema=schema, scaler=scaler, mlp=mlp, train_config=config,
-                         final_metrics=results, split=split, train_bounds=bounds,
+                         final_metrics=results, split=split, train_values=train_values,
                          data_sha256=data_sha256), history

@@ -17,7 +17,7 @@ import pytest
 import thyrec
 from synth import generate_rows, write_csv
 from test_persist import NEGATIVE_COUNT, empty_first_hidden, mutate, no_outputs, two_outputs
-from thyrec import data, persist
+from thyrec import data, lime, persist
 from thyrec.cli import build_parser, main, run
 from thyrec.lime import LimeConfig
 from thyrec.morris import MorrisConfig, analyze
@@ -224,8 +224,12 @@ class TestEvaluate:
         (("scaler", "means", 1), 2.0 ** 63),
         (("scaler", "means", 2), 2.0 ** 63),
         (("format_version",), 1),
-        (("train_bounds", 0, 0), 1e9),
+        (("train_values", 0, "values", 0), 1e9),
         (("data_sha256",), "x"),
+        (("format_version",), 2),
+        (("train_values", 1, "counts", 0), 0),
+        (("train_values", 1, "counts", 0), lambda count: count + 1),
+        (("train_values", 1, "values", 0), 0.5),
     ], ids=["dropout-1.5", "weight-string", "empty-vocab", "weight-nan", "std-zero",
             "dropout-rates-short", "batch-size-string", "beta1-1", "epsilon-0",
             "dropout-rate-1", "counts-contradict-metrics", "metrics-contradict-counts",
@@ -233,7 +237,8 @@ class TestEvaluate:
             "split-seed-negative", "target-name-is-feature", "learning-rate-int-too-large",
             "scaler-mean-int-too-large", "metric-int-too-large", "gender-mean-2**63",
             "smoking-mean-2**63", "format-version-1", "bounds-min-above-max",
-            "sha256-not-hex"])
+            "sha256-not-hex", "format-version-2", "count-zero", "counts-above-train-rows",
+            "code-fraction"])
     def test_malformed_model_exits_4(self, small_csv, tmp_path, capsys, keys, value):
         model = run_train(small_csv, tmp_path / "run")
         raw = json.loads(model.read_text())
@@ -651,6 +656,72 @@ class TestSensitivityTable:
             self.screen(model, tmp_path / "own")
         X_edited = load_for_data(str(model), str(edited))[1]
         assert X_edited[row, 0] > X[:, 0].max()
+
+
+class TestExplainTable:
+    """What `explain` reads: `check_table`'s checks on --data, then the one
+    record --index names. It samples from the model's training values, so
+    the training CSV itself is never parsed whole, and a file that passes
+    the full check explains alike."""
+
+    @pytest.fixture
+    def model(self, small_csv, tmp_path) -> Path:
+        return run_train(small_csv, tmp_path / "run")
+
+    @staticmethod
+    def explain(model, data, out, index=7, seed=3) -> dict[str, bytes]:
+        assert main(["explain", "--model", str(model), "--data", str(data), "--seed", str(seed),
+                     "--index", str(index), "--num-samples", "300", "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes()
+                for name in ("explanation.json", "explanation_bars.csv")}
+
+    def test_training_bytes_are_not_parsed(self, model, small_csv, tmp_path, monkeypatch):
+        want = self.explain(model, small_csv, tmp_path / "a")
+
+        def refuse(*args):
+            raise RuntimeError("load_csv called")
+        monkeypatch.setattr(data, "load_csv", refuse)
+        monkeypatch.setattr(persist, "load_csv", refuse)
+        assert self.explain(model, small_csv, tmp_path / "b") == want
+
+    def test_byte_order_mark_copy_takes_the_full_check(self, model, small_csv, tmp_path,
+                                                       monkeypatch):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(small_csv).read_bytes())
+        loaded = []
+
+        def load_csv(path):
+            loaded.append(path)
+            return data.load_csv(path)
+        monkeypatch.setattr(persist, "load_csv", load_csv)
+        for index in (0, 57, 119):
+            assert self.explain(model, bom, tmp_path / f"bom{index}", index) == \
+                self.explain(model, small_csv, tmp_path / f"plain{index}", index)
+        assert loaded == [str(bom)] * 3
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_explains_from_the_sorted_training_columns(self, small_csv, tmp_path, seed):
+        """The CLI's explanation is LIME's on the training partition with
+        each column sorted, bit for bit, and the model's training values
+        rebuild exactly those columns."""
+        model = run_train(small_csv, tmp_path / "run", seed=seed)
+        files = self.explain(model, small_csv, tmp_path / "cli", index=11, seed=seed)
+        artifact, X, y = load_for_data(str(model), small_csv)
+        columns = np.sort(X[artifact.recover_split(y).train], axis=0)
+        assert artifact.scaled_train_columns().tobytes() == columns.tobytes()
+        result = lime.explain(artifact.predict, X[11], columns,
+                              LimeConfig(num_samples=300, seed=seed), schema=artifact.schema,
+                              scaler=artifact.scaler, instance_index=11)
+        assert json.loads(files["explanation.json"]) == json.loads(json.dumps(result.as_dict()))
+
+    def test_index_is_checked_against_the_model_rows(self, model, small_csv, tmp_path, capsys):
+        capsys.readouterr()
+        for index in (-1, 120):
+            assert main(["explain", "--model", str(model), "--data", small_csv,
+                         "--index", str(index), "--out", str(tmp_path / "x")]) == 3
+            assert capsys.readouterr().err.splitlines() == \
+                [f"error: index {index} out of range for 120 rows"]
+        assert not (tmp_path / "x").exists()
 
 
 def _overcommit_refuses_huge_requests() -> bool:

@@ -12,7 +12,7 @@ from thyrec import data
 from thyrec.data import (BLOCK_ROWS, CATEGORICAL, CHUNK_CHARS, NUMERIC, DataError, Feature,
                          FeatureSchema, SplitIndices, _numbers, apply_scaler,
                          decode_category, encode_with_schema, fit_scaler, label_encode,
-                         load_csv, split, split_digest, stratified_split)
+                         load_csv, load_record, split, split_digest, stratified_split)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -265,6 +265,73 @@ class TestTokenizers:
                 assert load_outcome(path, schema) == (DataError, message), chunk_chars
 
 
+def record_outcome(path, row):
+    """What load_record gives for one row: its cells, or the error's message."""
+    try:
+        ds = load_record(str(path), row)
+    except DataError as exc:
+        return str(exc).replace(str(path), "<path>")
+    assert len(ds) == 1 and ds.header == load_csv_header(path)
+    return [*row_lists(ds)[0], *cells(ds.targets)]
+
+
+def load_csv_header(path) -> list[str]:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return next(filter(None, csv.reader(fh)))
+
+
+def csv_records(path) -> list[list[str] | None]:
+    """csv.reader's data records of path, then None for one it cannot read."""
+    records = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            records += filter(None, csv.reader(fh))
+        except csv.Error:
+            records.append(None)
+    return records[1:]
+
+
+class TestLoadRecord:
+    """`load_record(path, i)` against `load_csv`: record i's cells, whatever
+    the size of the reads, or where load_csv fails on that record, the same
+    error."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_every_record_is_load_csvs(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "t.csv"
+        path.write_bytes(CORPUS[name].encode())
+        try:
+            ds = load_csv(str(path))
+        except DataError as exc:
+            ds, error = None, str(exc).replace(str(path), "<path>")
+        records = csv_records(path)
+        for chunk_chars in READ_CHUNKS:
+            monkeypatch.setattr(data, "CHUNK_CHARS", chunk_chars)
+            got = [record_outcome(path, i) for i in range(-1, len(records) + 1)]
+            if ds is not None:
+                want = [[*row, target] for row, target in zip(row_lists(ds), cells(ds.targets))]
+                assert got == ["<path>: no data record -1", *want,
+                               f"<path>: no data record {len(want)}"], chunk_chars
+            elif error.startswith("line ") or "field larger than field limit" in error:
+                # the record load_csv stops at fails alike; every other is csv.reader's
+                assert error in got, chunk_chars
+                assert all(g == r for g, r in zip(got[1:], records) if type(g) is list)
+            elif error.endswith("no data rows"):
+                assert got == ["<path>: no data record -1", "<path>: no data record 0"]
+            else:                  # the file or its header
+                assert set(got) == {error}, chunk_chars
+
+    def test_reads_no_further_than_its_record(self, tmp_path, monkeypatch):
+        """Quote-free reads stay with str.split, and the file past the
+        record's read is not read: a late quote or a late ragged line is
+        unseen."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(table(ROWS[:5] + ['"38",M,No', "70"]).encode())
+        monkeypatch.setattr(data, "CHUNK_CHARS", 5)
+        monkeypatch.setattr(data, "_csv_records", None)
+        assert [record_outcome(path, i) for i in range(5)] == [r.split(",") for r in ROWS[:5]]
+
+
 def plain_parse(path) -> tuple[list[str], list[list[str]], list[str]]:
     """The header, feature rows and targets of a plain csv.reader parse."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -482,13 +549,19 @@ class TestSplit:
         (list(range(10, -1, -1)), [11]),
         (np.random.default_rng(5).permutation(38_300)[:30_640], range(7, 100_000, 13)),
     ])
-    def test_digest_text_is_comma_joined_indices(self, train, test):
-        """The digest hashes "train:" and ";test:" before each partition's
-        indices joined by commas, the text model files were written with."""
+    def test_digest_hashes_int64_bytes(self, train, test):
+        """The digest hashes the training partition's length, then both
+        partitions' indices, each as little-endian int64 bytes."""
         idx = SplitIndices(np.array(train, dtype=np.int64), np.array(test, dtype=np.int64))
-        text = ("train:" + ",".join(map(str, idx.train.tolist()))
-                + ";test:" + ",".join(map(str, idx.test.tolist())))
-        assert split_digest(idx) == hashlib.sha256(text.encode()).hexdigest()
+        raw = b"".join(int(i).to_bytes(8, "little", signed=True)
+                       for i in [len(train), *idx.train.tolist(), *idx.test.tolist()])
+        assert split_digest(idx) == hashlib.sha256(raw).hexdigest()
+
+    def test_digest_sees_where_the_partitions_meet(self):
+        """The same indices cut at another place are another split."""
+        indices = np.arange(6, dtype=np.int64)
+        digests = {split_digest(SplitIndices(indices[:k], indices[k:])) for k in range(7)}
+        assert len(digests) == 7
 
 
 class TestScaler:

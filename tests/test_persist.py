@@ -13,8 +13,8 @@ from thyrec.data import DataError, Feature, FeatureSchema, Scaler, stratified_sp
 from thyrec.metrics import ConfusionMatrix, compute_metrics
 from thyrec.neural import TrainConfig, init_mlp, predict_proba
 from thyrec.cli import main as cli_main
-from thyrec.persist import (ArtifactError, ModelArtifact, SplitInfo, fit, load_for_data,
-                            load_model, save_model)
+from thyrec.persist import (ArtifactError, ModelArtifact, SplitInfo, eval_to_dict, fit,
+                            load_for_data, load_model, save_model)
 
 
 def make_artifact(seed=0, d=4):
@@ -37,8 +37,10 @@ def make_artifact(seed=0, d=4):
         final_metrics={"train": ConfusionMatrix(tp=60, fp=2, tn=240, fn=4),
                        "test": ConfusionMatrix(tp=16, fp=0, tn=58, fn=3)},
         split=SplitInfo(seed=seed, ratio=0.8, stratified=False, indices_digest="d" * 64),
-        # Age in years, then each categorical feature's codes 0 and 2
-        train_bounds=np.array([[15.0] + [0.0] * (d - 1), [82.0] + [2.0] * (d - 1)]),
+        # Age in years, then each categorical feature's codes 0 and 2, counted
+        # over the 306 training rows of final_metrics
+        train_values=[(np.array([15.0, 40.0, 82.0]), np.array([100, 106, 100]))]
+        + [(np.array([0.0, 2.0]), np.array([153, 153]))] * (d - 1),
         data_sha256="e" * 64,
     )
 
@@ -237,16 +239,35 @@ class TestErrors:
         (("scaler", "means", 0), 1e308,
          "feature 'Age': its training range does not survive the scaler (mean 1e+308"),
         (("scaler", "stds", 0), 5e-324, "feature 'Age': its training range does not survive"),
-        (("format_version",), 1, "format_version 1 not supported (expected 2)"),
-        (("train_bounds",), [[15.0, 0.0, 0.0, 0.0]],
-         "train_bounds must be 2 rows (min, max) of 4 values"),
-        (("train_bounds", 1), [82.0, 2.0, 2.0], "train_bounds must be 2 rows (min, max) of 4"),
-        (("train_bounds", 0), 15.0, "train_bounds.0 must be list, not 15.0"),
-        (("train_bounds", 1, 0), float("inf"), "train_bounds.1 holds a non-finite value"),
-        (("train_bounds", 0, 0), 90.0, "feature 'Age': training minimum 90.0 exceeds maximum 82.0"),
-        (("train_bounds", 1, 2), 1.5, "feature 'c1': training bounds must be codes in 0..2"),
-        (("train_bounds", 1, 2), 3.0, "feature 'c1': training bounds must be codes in 0..2"),
-        (("train_bounds", 0, 3), -1.0, "feature 'c2': training bounds must be codes in 0..2"),
+        (("format_version",), 1, "format_version 1 not supported (expected 3)"),
+        (("train_values",), lambda entries: entries[:1],
+         "train_values must hold one entry per feature (4), not 1"),
+        (("train_values", 1, "values"), [0.0], "feature 'c0': 1 training values for 2 counts"),
+        (("train_values", 0), 15.0, "train_values.0 must be dict, not 15.0"),
+        (("train_values", 1, "values", 0), float("inf"),
+         "train_values.1.values holds a non-finite value"),
+        (("train_values", 0, "values", 0), 90.0,
+         "feature 'Age': training values must be strictly ascending"),
+        (("train_values", 2, "values", 1), 1.5, "feature 'c1': training values must be codes "
+                                                 "in 0..2"),
+        (("train_values", 2, "values", 1), 3.0, "feature 'c1': training values must be codes "
+                                                 "in 0..2"),
+        (("train_values", 3, "values", 0), -1.0, "feature 'c2': training values must be codes "
+                                                  "in 0..2"),
+        (("format_version",), 2, "format_version 2 not supported (expected 3)"),
+        (("train_values", 0, "values", 2), 40.0,
+         "feature 'Age': training values must be strictly ascending"),
+        (("train_values", 1, "counts", 0), 0,
+         "feature 'c0': training value counts must be positive integers"),
+        (("train_values", 1, "counts", 1), 1.5,
+         "feature 'c0': training value counts must be positive integers"),
+        (("train_values", 1, "counts", 1), True,
+         "feature 'c0': training value counts must be positive integers"),
+        (("train_values", 0, "counts", 2), 101, "feature 'Age': training value counts add up "
+                                                "to 307, not the 306 training rows of "
+                                                "final_metrics"),
+        (("final_metrics", "train"), lambda fm: eval_to_dict(ConfusionMatrix(60, 2, 241, 4)),
+         "feature 'Age': training value counts add up to 306, not the 307 training rows"),
         (("data_sha256",), "E" * 64, "data_sha256 must be 64 lowercase hex characters"),
         (("data_sha256",), "e" * 63, "data_sha256 must be 64 lowercase hex characters"),
         (("data_sha256",), 7, "artifact.data_sha256 must be str, not 7"),
@@ -277,6 +298,8 @@ class TestErrors:
             "age-mean-1e308", "age-std-tiny", "format-version-1", "bounds-one-row",
             "bounds-row-short", "bounds-row-number", "bounds-inf", "bounds-min-above-max",
             "bounds-code-fraction", "bounds-code-too-large", "bounds-code-negative",
+            "format-version-2", "values-repeated", "count-zero", "count-fraction",
+            "count-bool", "counts-above-train-rows", "counts-below-train-rows",
             "sha256-uppercase", "sha256-short", "sha256-int", "no-layers", "first-layer-5-wide",
             "final-metrics-empty",
             "final-metrics-no-test", "final-metrics-extra-partition"])

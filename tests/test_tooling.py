@@ -228,7 +228,8 @@ def test_private_name_detector(source, found):
 
 def test_golden_bytes_rows_lists_the_table_commands_files():
     """`scripts/golden_bytes.py --rows N` prints the usual listing, then the
-    files of train, evaluate, explain and sensitivity on an N-row table."""
+    files of train, evaluate, explain and sensitivity on an N-row table, and
+    of explain on its last row."""
     from test_golden_bytes import EXPECTED   # which imports this module
     done = run_tool(ROOT / "scripts" / "golden_bytes.py", "--rows", "150")
     assert done.returncode == 0, done.stderr
@@ -237,7 +238,8 @@ def test_golden_bytes_rows_lists_the_table_commands_files():
     assert [line.split("  ", 1)[1] for line in lines] == EXPECTED + [
         f"rows/{name}" for name in (
             "eval_report.json", "explanation.json", "explanation_bars.csv", "history.csv",
-            "model.json", "sensitivity.csv", "sensitivity.json", "sensitivity_scatter.csv",
+            "last/explanation.json", "last/explanation_bars.csv", "model.json",
+            "sensitivity.csv", "sensitivity.json", "sensitivity_scatter.csv",
             "train_report.json")]
 
 
